@@ -1,8 +1,7 @@
 package taskgraph
 
 import (
-	"math"
-	"sort"
+	"fmt"
 	"sync"
 
 	"vtrain/internal/comm"
@@ -16,88 +15,59 @@ import (
 // (node NVSwitches, per-node HCA bundles, the spine) and derates their
 // durations by comm.Congestion's per-class weights.
 //
-// The split mirrors the structure/timing split. BindContention resolves the
-// plan- and cluster-dependent classification once per (graph, plan,
-// cluster) — which descriptor is a collective, how many nodes it spans,
-// which nodes a P2P transfer connects — into an immutable ContentionTable.
-// The replay-time part (this file's occupancy ledger, pooled and owned per
-// replay call and per batch lane) then needs only O(1) arithmetic per comm
-// task to find its link classes, plus an interval-overlap count against the
-// flows already recorded on those classes. Contention never changes the
-// graph's structure, so structural caching, artifact round-trips, and
+// The split mirrors the structure/timing split. BindContention resolves
+// every (descriptor, pipeline stage) pair of a structural graph against one
+// plan and cluster into the link classes its comm tasks occupy — a flat
+// linkSet table, filled once with comm.CollectivePath and comm.SendRecvPath
+// and immutable afterwards. The replay-time part (this file's occupancy
+// ledger, pooled and owned per replay call and per batch lane) then needs
+// one table load per comm task, plus an overlap count against the flows
+// already recorded on each of its link classes. Contention never changes
+// the graph's structure, so structural caching, artifact round-trips, and
 // cross-plan sharing are untouched; with a nil table every replay entry
-// point performs bit-identical float operations to the contention-free path.
+// point performs bit-identical float operations to the contention-free
+// path.
 //
-// The overlap count is sub-linear in recorded flows. Each link class keeps
-// an epoch-bucketed ledger: time is cut into fixed-width epochs (width =
-// the bound table's median comm-task duration), and per class the ledger
-// histograms the *start* values and *end* values of recorded flows over
-// epochs — a Fenwick tree per histogram for O(log epochs) prefix counts,
-// plus an exact per-epoch spill chain of the raw values. Because every
-// recorded interval and every query has end > start, "overlaps [s, e)"
-// decomposes exactly into
+// The ledger rests on the seriality of comm streams. A task starts no
+// earlier than its stream slot's previous finish, and that finish is the
+// previous task's *derated* end, so the flows one slot records on a link
+// class have ascending starts and ascending ends: each starts at or after
+// the one before it ended. Every link class therefore keeps one
+// append-only run per contributing slot, and the flows of a run that
+// overlap [s, e) are exactly the run indices in
 //
-//	n  -  #(recorded end <= s)  -  #(recorded start >= e)
+//	[#(end <= s), #(start < e))
 //
-// (the two exclusion sets cannot intersect), and each exclusion count is a
-// Fenwick prefix sum over whole epochs plus an exact scan of the one
-// boundary epoch's spill chain. The count — and therefore the derate
-// arithmetic — is bit-identical to the flat append-and-scan it replaces;
-// only the cost changes, from O(flows) per query to O(log epochs +
-// boundary-epoch occupancy).
+// — both bounds are prefix lengths of the run, found by binary search, and
+// an empty range counts zero. The count is exact, so the derate arithmetic
+// is bit-identical to a flat scan over every recorded flow; only the cost
+// changes, to two binary searches per contributing run.
 
-// contKind classifies a descriptor's contention behavior.
-type contKind uint8
-
-const (
-	// contNone marks compute descriptors: no link occupancy.
-	contNone contKind = iota
-	// contColl marks collectives; the representative node derives from the
-	// task's stage at replay time.
-	contColl
-	// contP2P marks pipeline transfers between two bind-time-known nodes.
-	contP2P
-)
-
-// contEpochTarget is the epoch count the replay horizon estimate is spread
-// over: the ledger widens its epochs beyond the median comm duration when
-// the horizon would otherwise shatter into so many epochs that the per-class
-// arrays outgrow the cache (their cost is O(max epoch touched), not
-// O(flows)).
-const contEpochTarget = 1024
-
-// contEpochCap bounds the epoch index (4x the target, headroom for horizon
-// underestimates). Times at or beyond the cap share the last epoch: the
-// clamp is monotone, so counts stay exact — the final epoch merely degrades
-// toward a linear scan for pathological widths.
-const contEpochCap = 1 << 12
-
-// defaultContEpochWidth (seconds) prices epochs when the bound table offers
-// no positive comm duration to derive a width from. The width only steers
-// bucketing granularity — never results.
-const defaultContEpochWidth = 1e-3
+// linkSet is the bind-time resolution of one (descriptor, stage) pair: the
+// link classes its comm tasks occupy. nv and hca hold class indices, 0 when
+// unused (class 0 is the spine, which only spine names). The zero linkSet
+// occupies no link — compute descriptors, and paths with no shared link.
+type linkSet struct {
+	nv    int32
+	hca   [2]int32
+	spine bool
+}
 
 // ContentionTable is the per-(plan, cluster) contention binding of one
-// structural graph: for every duration descriptor, which fat-tree links its
-// tasks occupy. Like a DurationTable it is immutable after binding, so one
-// table can back any number of concurrent replays — the mutable occupancy
-// state lives in a per-replay contState.
+// structural graph: for every duration descriptor and pipeline stage, which
+// fat-tree links its tasks occupy. Like a DurationTable it is immutable
+// after binding, so one table can back any number of concurrent replays —
+// the mutable occupancy state lives in a per-replay contState.
 type ContentionTable struct {
 	cg comm.Congestion
-	// kind, span, fromNode, toNode are per-descriptor, parallel to
-	// Graph.descs. span is a collective's node span (1 = node-local);
-	// fromNode/toNode are a P2P transfer's endpoints.
-	kind     []contKind
-	span     []int32
-	fromNode []int32
-	toNode   []int32
-	// stride and gpn map a task's stage to its representative node.
-	stride, gpn int
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
-	// invW is the reciprocal epoch width of the occupancy ledgers, derived
-	// from the bound table's median comm duration.
-	invW float64
+	// devices is the graph's device (pipeline stage) count, the row width
+	// of links.
+	devices int
+	// links[di*devices+stage] is the link set of descriptor di's tasks on
+	// stage.
+	links []linkSet
 }
 
 // Link-class layout: class 0 is the spine; node k's NVSwitch is 1+2k and
@@ -106,10 +76,9 @@ func nvClass(node int) int  { return 1 + 2*node }
 func hcaClass(node int) int { return 2 + 2*node }
 
 // BindContention resolves the graph's communication descriptors against the
-// cluster's fat-tree topology for one concrete plan. tbl, the plan's bound
-// DurationTable, sizes the occupancy ledgers' epoch width from the median
-// comm-task duration; it may be nil (a default width is used — width is a
-// performance knob, never a results one). BindContention returns nil for
+// cluster's fat-tree topology for one concrete plan. tbl is unused: the
+// ledger needs no tuning from the bound durations, and the parameter stays
+// only so callers keep one signature. BindContention returns nil for
 // hand-built eager graphs (no descriptors): their durations were priced by
 // an arbitrary external process the topology knows nothing about, and a nil
 // table makes every contended entry point equivalent to its ideal twin.
@@ -119,301 +88,112 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 	}
 	gpn := c.Node.GPUsPerNode
 	stride := plan.Tensor * plan.Data
+	devices := g.Devices
 	ct := &ContentionTable{
-		cg:       comm.NewCongestion(c),
-		kind:     make([]contKind, len(g.descs)),
-		span:     make([]int32, len(g.descs)),
-		fromNode: make([]int32, len(g.descs)),
-		toNode:   make([]int32, len(g.descs)),
-		stride:   stride,
-		gpn:      gpn,
+		cg:      comm.NewCongestion(c),
+		devices: devices,
+		links:   make([]linkSet, len(g.descs)*devices),
 	}
-	maxNode := ((g.Devices-1)*stride + stride - 1) / gpn
+	maxClass := 0
 	for i := range g.descs {
 		d := &g.descs[i]
+		var span int
 		switch d.kind {
 		case descAllReduceTP:
-			n, intra := allReduceTPArgs(plan, gpn)
-			ct.kind[i] = contColl
-			if intra {
-				n = 1
-			}
-			ct.span[i] = int32(n)
+			span = collectiveSpan(allReduceTPArgs(plan, gpn))
 		case descAllReduceDP:
-			n, intra := allReduceDPArgs(plan, gpn)
-			ct.kind[i] = contColl
-			if intra {
-				n = 1
-			}
-			ct.span[i] = int32(n)
+			span = collectiveSpan(allReduceDPArgs(plan, gpn))
 		case descP2P:
-			ct.kind[i] = contP2P
-			ct.fromNode[i] = int32(int(d.from) * stride / gpn)
-			ct.toNode[i] = int32(int(d.to) * stride / gpn)
+		default:
+			continue // compute: the zero linkSet
+		}
+		for stage := 0; stage < devices; stage++ {
+			var p comm.Path
+			if d.kind == descP2P {
+				// A transfer's endpoints are fixed by its descriptor.
+				p = ct.cg.SendRecvPath(int(d.from)*stride/gpn, int(d.to)*stride/gpn)
+			} else {
+				// A collective's representative node is its stage's.
+				p = ct.cg.CollectivePath(stage*stride/gpn, span)
+			}
+			ls := linkSetOf(p)
+			ct.links[i*devices+stage] = ls
+			maxClass = max(maxClass, int(ls.nv), int(ls.hca[0]), int(ls.hca[1]))
 		}
 	}
-	ct.classes = hcaClass(maxNode) + 1
-	w := g.commEpochWidth(ct, tbl)
-	if w <= 0 {
-		w = defaultContEpochWidth
-	}
-	ct.invW = 1 / w
+	ct.classes = maxClass + 1
 	return ct
 }
 
-// commEpochWidth derives the ledgers' epoch width from tbl: the
-// task-count-weighted median duration of the graph's contending comm tasks,
-// widened if needed so an estimate of the replay horizon (total bound work
-// per device, doubled for bubbles and derating) spans at most
-// contEpochTarget epochs. It returns 0 when the table offers no width (nil,
-// mismatched, or no positive comm durations).
-func (g *Graph) commEpochWidth(ct *ContentionTable, tbl *DurationTable) float64 {
-	if tbl == nil || tbl.Len() != g.NumTasks() {
-		return 0
+// collectiveSpan is the node span a collective's path is resolved with:
+// 1 for a node-local group.
+func collectiveSpan(nodes int, intra bool) int {
+	if intra {
+		return 1
 	}
-	var median, total float64
-	if tbl.byDesc {
-		// Descriptor-gather tables price per descriptor; weight each priced
-		// duration by its task population (descCnt), so the whole derivation
-		// is O(descriptors) — no per-task pass.
-		type weighted struct {
-			d float64
-			w int64
-		}
-		var ws []weighted
-		var commTasks int64
-		for i := range g.descs {
-			w := int64(g.descCnt[i])
-			if w == 0 {
-				continue
-			}
-			d := tbl.vals[i].dur
-			total += float64(w) * d
-			if ct.kind[i] != contNone && d > 0 {
-				ws = append(ws, weighted{d, w})
-				commTasks += w
-			}
-		}
-		if commTasks == 0 {
-			return 0
-		}
-		sort.Slice(ws, func(a, b int) bool { return ws[a].d < ws[b].d })
-		half := (commTasks + 1) / 2
-		var acc int64
-		for _, w := range ws {
-			if acc += w.w; acc >= half {
-				median = w.d
-				break
-			}
-		}
-	} else {
-		// Stateful timers fan out to per-task columns; gather and sort those.
-		var durs []float64
-		for id, di := range g.durIdx {
-			d := tbl.dur[id]
-			total += d
-			if ct.kind[di] != contNone && d > 0 {
-				durs = append(durs, d)
-			}
-		}
-		if len(durs) == 0 {
-			return 0
-		}
-		sort.Float64s(durs)
-		median = durs[(len(durs)-1)/2]
-	}
-	if horizon := 2 * total / float64(g.Devices); horizon/contEpochTarget > median {
-		return horizon / contEpochTarget
-	}
-	return median
+	return nodes
 }
 
-// epochOf maps a time to its ledger epoch: monotone (a < b never maps a
-// after b), clamped to [0, contEpochCap), and NaN-safe.
-func epochOf(t, invW float64) int32 {
-	e := t * invW
-	if !(e > 0) {
-		return 0
+// linkSetOf converts a resolved path into ledger class indices.
+func linkSetOf(p comm.Path) linkSet {
+	var ls linkSet
+	if p.NVNode >= 0 {
+		ls.nv = int32(nvClass(p.NVNode))
 	}
-	if e >= contEpochCap-1 {
-		return contEpochCap - 1
-	}
-	return int32(e)
-}
-
-// epochHist is one epoch-bucketed histogram of float64 values (the starts,
-// or the ends, of one link class's recorded flows):
-//
-//   - cnt[e] is the number of values in epoch e;
-//   - fen is a Fenwick tree over cnt, for O(log epochs) prefix counts
-//     (fen[j] aggregates classic 1-based Fenwick index j+1 — node coverage
-//     is length-independent, so growing rebuilds from cnt);
-//   - head[e] chains epoch e's exact values through the contState node
-//     pool (head stores node index + 1; 0 is the empty chain).
-//
-// All three arrays share one length and grow together by doubling; the
-// epoch cap keeps them small enough that plain slices with a clear-on-reuse
-// reset beat any generation-tagging scheme in the hot loops.
-type epochHist struct {
-	cnt  []uint32
-	fen  []uint32
-	head []uint32
-}
-
-func (h *epochHist) clear() {
-	clear(h.cnt)
-	clear(h.fen)
-	clear(h.head)
-}
-
-func (h *epochHist) drop() {
-	*h = epochHist{}
-}
-
-// insert records value v (in epoch e) into the histogram, chaining its
-// exact value through cs's node pool.
-func (h *epochHist) insert(cs *contState, e int32, v float64) {
-	if int(e) >= len(h.cnt) {
-		h.grow(e)
-	}
-	h.cnt[e]++
-	f := h.fen
-	for i := int(e) + 1; i <= len(f); i += i & (-i) {
-		f[i-1]++
-	}
-	idx := cs.pushNode(v, h.head[e])
-	h.head[e] = idx + 1
-}
-
-// grow widens the arrays to the next power of two above e, preserving the
-// recorded counts and chains; the Fenwick tree is rebuilt from cnt — seed
-// each node with its own epoch's count, then fold each node into its
-// parent. O(length), amortized by doubling.
-func (h *epochHist) grow(e int32) {
-	n := 64
-	for n <= int(e) {
-		n *= 2
-	}
-	cnt := make([]uint32, n)
-	copy(cnt, h.cnt)
-	h.cnt = cnt
-	head := make([]uint32, n)
-	copy(head, h.head)
-	h.head = head
-	f := make([]uint32, n)
-	copy(f, cnt)
-	for i := 1; i <= n; i++ {
-		if j := i + i&(-i); j <= n {
-			f[j-1] += f[i-1]
+	for i, n := range p.HCANodes {
+		if n >= 0 {
+			ls.hca[i] = int32(hcaClass(n))
 		}
 	}
-	h.fen = f
+	ls.spine = p.Spine
+	return ls
 }
 
-// prefix returns the number of recorded values in epochs [0, e]. Epochs the
-// arrays never grew to hold are empty, so e clamps to the allocated range.
-func (h *epochHist) prefix(e int32) int32 {
-	f := h.fen
-	ei := int(e)
-	if ei >= len(f) {
-		ei = len(f) - 1
-	}
-	s := uint32(0)
-	for i := ei + 1; i > 0; i -= i & (-i) {
-		s += f[i-1]
-	}
-	return int32(s)
+// flow is one recorded occupancy interval [start, end).
+type flow struct{ start, end float64 }
+
+// slotRun is the append-only run of flows one comm stream slot recorded on
+// one link class, in ascending order of both start and end. Its flows live
+// in the contState arena at [off, off+n), in a segment of capacity cap.
+type slotRun struct {
+	// last is the end of the run's last flow, kept in the header so the
+	// common reject — a slot that has moved on — reads no arena.
+	last        float64
+	off, n, cap int32
+	slot        int32
 }
 
-// chainCountLE counts epoch e's exact values <= v; chainCountGE counts
-// those >= v. Both scan only the one boundary epoch's spill chain.
-func (h *epochHist) chainCountLE(cs *contState, e int32, v float64) int32 {
-	if int(e) >= len(h.head) {
-		return 0
-	}
-	c := int32(0)
-	for p := h.head[e]; p != 0; p = uint32(cs.nodeNext[p-1]) {
-		if cs.nodeVal[p-1] <= v {
-			c++
-		}
-	}
-	return c
-}
+// firstRunCap is the arena segment a run starts with, in flows.
+const firstRunCap = 16
 
-func (h *epochHist) chainCountGE(cs *contState, e int32, v float64) int32 {
-	if int(e) >= len(h.head) {
-		return 0
-	}
-	c := int32(0)
-	for p := h.head[e]; p != 0; p = uint32(cs.nodeNext[p-1]) {
-		if cs.nodeVal[p-1] >= v {
-			c++
-		}
-	}
-	return c
-}
-
-// classLedger is one link class's occupancy ledger: the start and end
-// histograms of the flows recorded on that class this replay, plus the
-// high-water epoch driving the hysteretic shrink of its epoch arrays.
-// minStart/maxEnd bound the recorded intervals: a query outside them
-// overlaps nothing and skips the histograms entirely — the common case on
-// classes whose flows are serialized by a dependency chain (one comm
-// stream feeding one NVSwitch), where each flow starts at or after the
-// previous one's end.
+// classLedger is one link class's occupancy ledger: the runs of the slots
+// that recorded on the class this replay (runs[:n]; headers past n are
+// kept for reuse).
 type classLedger struct {
-	starts   epochHist
-	ends     epochHist
-	n        int32
-	hi       int32
-	minStart float64
-	maxEnd   float64
-	// oversized counts consecutive resets whose epoch capacity exceeded 4x
-	// the previous replay's high-water epoch (see wantShrink).
-	oversized int8
-}
-
-func (led *classLedger) reset() {
-	epochLen := len(led.starts.cnt)
-	if l := len(led.ends.cnt); l > epochLen {
-		epochLen = l
-	}
-	if wantShrink(epochLen, int(led.hi)+1, &led.oversized) {
-		led.starts.drop()
-		led.ends.drop()
-	} else if led.n > 0 {
-		// Classes untouched since the last reset are already zero; only
-		// dirty ledgers pay the clear, and the epoch cap bounds it.
-		led.starts.clear()
-		led.ends.clear()
-	}
-	led.n = 0
-	led.hi = -1
-	led.minStart = math.Inf(1)
-	led.maxEnd = math.Inf(-1)
+	runs []slotRun
+	n    int
 }
 
 // contState is the mutable occupancy ledger of one replay (or one batch
-// lane): per link class, the epoch-bucketed start/end histograms of the
-// flows recorded so far. Replay visits tasks in topological (not time)
-// order, so a flow only contends with flows recorded before it — a
-// deterministic, conservative under-count that keeps the replay
-// single-pass. States are pooled (getContState / putContState): resets are
-// O(classes) generation bumps, and storage follows the same wantShrink
-// hysteresis as the rest of the replay scratch.
+// lane): per link class, the per-slot runs of the flows recorded so far.
+// Replay visits tasks in topological (not time) order, so a flow only
+// contends with flows recorded before it — a deterministic, conservative
+// under-count that keeps the replay single-pass. States are pooled
+// (getContState / putContState); the ledger slice and the arena follow the
+// same wantShrink hysteresis as the rest of the replay scratch.
+//
+// All runs share one arena rather than owning a slice each: a pooled state
+// serves graphs of every shape, whose (class, slot) pairs and run lengths
+// differ from replay to replay, so per-run slices would be regrown on
+// nearly every reuse while one arena is sized once by the largest replay.
 type contState struct {
 	led []classLedger
-	// nodeVal/nodeNext form the shared spill-chain node pool of every
-	// histogram: nodeVal holds the exact recorded values, nodeNext the
-	// chain links (index + 1; 0 terminates).
-	nodeVal  []float64
-	nodeNext []int32
-	nNodes   int32
-	invW     float64
-	// oversizedLed / oversizedNodes are the wantShrink counters of the
-	// ledger slice and the node pool.
-	oversizedLed   int8
-	oversizedNodes int8
+	// arena holds every run's segment; arena[:top] is in use.
+	arena []flow
+	top   int32
+	// oversizedLed and oversizedArena are the wantShrink counters of the
+	// ledger slice and the arena.
+	oversizedLed, oversizedArena int8
 }
 
 var contStatePool = sync.Pool{New: func() any { return new(contState) }}
@@ -432,82 +212,112 @@ func putContState(cs *contState) {
 	}
 }
 
+// reset empties the ledger and sizes it for ct's classes. The arena's
+// demand is the previous replay's high-water mark.
 func (cs *contState) reset(ct *ContentionTable) {
 	if wantShrink(cap(cs.led), ct.classes, &cs.oversizedLed) {
-		cs.led = make([]classLedger, ct.classes)
-	} else if len(cs.led) < ct.classes {
-		// Append growth can leave cap > len, so a later intermediate class
-		// count must reslice within capacity rather than append from cap
-		// (which would make a negative-length tail).
-		if cap(cs.led) < ct.classes {
-			cs.led = append(cs.led, make([]classLedger, ct.classes-len(cs.led))...)
-		} else {
-			cs.led = cs.led[:ct.classes]
-		}
+		cs.led = nil
 	}
-	for c := 0; c < ct.classes; c++ {
-		cs.led[c].reset()
+	if n := ct.classes - len(cs.led); n > 0 {
+		cs.led = append(cs.led, make([]classLedger, n)...)
 	}
-	if wantShrink(cap(cs.nodeVal), int(cs.nNodes), &cs.oversizedNodes) {
-		cs.nodeVal, cs.nodeNext = nil, nil
+	for c := range cs.led {
+		cs.led[c].n = 0
 	}
-	cs.nNodes = 0
-	cs.invW = ct.invW
+	if wantShrink(cap(cs.arena), int(cs.top), &cs.oversizedArena) {
+		cs.arena = nil
+	}
+	cs.top = 0
 }
 
-// pushNode appends value v to the node pool with next as its chain link,
-// returning its index.
-func (cs *contState) pushNode(v float64, next uint32) uint32 {
-	idx := cs.nNodes
-	if int(idx) < len(cs.nodeVal) {
-		cs.nodeVal[idx] = v
-		cs.nodeNext[idx] = int32(next)
-	} else {
-		cs.nodeVal = append(cs.nodeVal, v)
-		cs.nodeNext = append(cs.nodeNext, int32(next))
-	}
-	cs.nNodes = idx + 1
-	return uint32(idx)
-}
-
-// overlaps counts recorded flows on class whose interval intersects
-// [start, end) — exactly the flows with iv.start < end && iv.end > start.
-// Every recorded interval and every query has end > start, so the
-// complement decomposes into the two disjoint exclusion counts below.
+// overlaps counts the recorded flows on class intersecting [start, end):
+// per run, the indices in [#(end <= start), #(start < end)). Runs whose
+// last flow ended by start — the common case, a slot that has moved on —
+// cost one compare.
 func (cs *contState) overlaps(class int, start, end float64) int {
 	led := &cs.led[class]
-	// Overlap needs iv.end > start and iv.start < end; outside the recorded
-	// bounds (or on an empty ledger) the count is zero, no lookup needed.
-	if led.n == 0 || start >= led.maxEnd || end <= led.minStart {
-		return 0
+	c := 0
+	runs := led.runs[:led.n]
+	for i := range runs {
+		r := &runs[i]
+		if r.last <= start {
+			continue
+		}
+		f := cs.arena[r.off : r.off+r.n]
+		n := len(f)
+		// lo = #(end <= start): the first flow still running at start.
+		lo, hi := 0, n-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if f[m].end <= start {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if f[lo].start >= end {
+			continue
+		}
+		// #(start < end), searched past lo, whose start is below end.
+		first := lo
+		lo, hi = lo+1, n
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if f[m].start < end {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		c += lo - first
 	}
-	es := epochOf(start, cs.invW)
-	endsLE := led.ends.prefix(es-1) + led.ends.chainCountLE(cs, es, start)
-	ee := epochOf(end, cs.invW)
-	startsGE := led.n - led.starts.prefix(ee) + led.starts.chainCountGE(cs, ee, end)
-	return int(led.n - endsLE - startsGE)
+	return c
 }
 
-// record adds [start, end) to class's ledger.
-func (cs *contState) record(class int, start, end float64) {
+// record appends [start, end) to slot's run on class. A start before the
+// run's last end breaks the seriality the overlap count relies on, so it
+// panics rather than miscount.
+func (cs *contState) record(class int, slot int32, start, end float64) {
 	led := &cs.led[class]
-	led.n++
-	if start < led.minStart {
-		led.minStart = start
+	var r *slotRun
+	for i := range led.runs[:led.n] {
+		if led.runs[i].slot == slot {
+			r = &led.runs[i]
+			break
+		}
 	}
-	if end > led.maxEnd {
-		led.maxEnd = end
+	if r == nil {
+		if led.n == len(led.runs) {
+			led.runs = append(led.runs, slotRun{})
+		}
+		r = &led.runs[led.n]
+		led.n++
+		*r = slotRun{slot: slot}
+	} else if start < r.last {
+		panic(fmt.Sprintf("taskgraph: contention ledger class %d slot %d: flow [%v, %v) starts before the slot's previous flow ends at %v",
+			class, slot, start, end, r.last))
 	}
-	es := epochOf(start, cs.invW)
-	ee := epochOf(end, cs.invW)
-	if es > led.hi {
-		led.hi = es
+	if r.n == r.cap {
+		cs.grow(r)
 	}
-	if ee > led.hi {
-		led.hi = ee
+	cs.arena[r.off+r.n] = flow{start, end}
+	r.n++
+	r.last = end
+}
+
+// grow moves r to a segment of twice its capacity at the arena's top,
+// leaving a hole the next reset reclaims.
+func (cs *contState) grow(r *slotRun) {
+	c := max(2*r.cap, firstRunCap)
+	top := cs.top
+	if need := int(top + c); need > len(cs.arena) {
+		arena := make([]flow, max(need, 2*len(cs.arena)))
+		copy(arena, cs.arena[:top])
+		cs.arena = arena
 	}
-	led.starts.insert(cs, es, start)
-	led.ends.insert(cs, ee, end)
+	copy(cs.arena[top:], cs.arena[r.off:r.off+r.n])
+	r.off, r.cap = top, c
+	cs.top = top + c
 }
 
 // contend derates the base duration of the comm task in slot with
@@ -517,44 +327,35 @@ func (cs *contState) record(class int, start, end float64) {
 // unchanged. The returned duration is always >= dur: every weight is
 // non-negative and the overlap counts only grow with concurrency.
 func (ct *ContentionTable) contend(st *contState, slot int32, di int32, start, dur float64) float64 {
-	if ct.kind[di] == contNone || dur <= 0 {
-		return dur
-	}
-	var path comm.Path
-	if ct.kind[di] == contColl {
-		node := int(slot>>1) * ct.stride / ct.gpn
-		path = ct.cg.CollectivePath(node, int(ct.span[di]))
-	} else {
-		path = ct.cg.SendRecvPath(int(ct.fromNode[di]), int(ct.toNode[di]))
-	}
-	if path.None() {
+	ls := &ct.links[int(di)*ct.devices+int(slot>>1)]
+	if dur <= 0 || (ls.nv|ls.hca[0]) == 0 {
 		return dur
 	}
 	end := start + dur
 	nv, hca, spine := 0, 0, 0
-	if path.NVNode >= 0 {
-		nv = st.overlaps(nvClass(path.NVNode), start, end)
+	if ls.nv != 0 {
+		nv = st.overlaps(int(ls.nv), start, end)
 	}
-	for _, n := range path.HCANodes {
-		if n >= 0 {
-			hca += st.overlaps(hcaClass(n), start, end)
+	for _, c := range ls.hca {
+		if c != 0 {
+			hca += st.overlaps(int(c), start, end)
 		}
 	}
-	if path.Spine {
+	if ls.spine {
 		spine = st.overlaps(0, start, end)
 	}
 	dur *= ct.cg.Derate(nv, hca, spine)
 	fend := start + dur
-	if path.NVNode >= 0 {
-		st.record(nvClass(path.NVNode), start, fend)
+	if ls.nv != 0 {
+		st.record(int(ls.nv), slot, start, fend)
 	}
-	for _, n := range path.HCANodes {
-		if n >= 0 {
-			st.record(hcaClass(n), start, fend)
+	for _, c := range ls.hca {
+		if c != 0 {
+			st.record(int(c), slot, start, fend)
 		}
 	}
-	if path.Spine {
-		st.record(0, start, fend)
+	if ls.spine {
+		st.record(0, slot, start, fend)
 	}
 	return dur
 }

@@ -2,6 +2,8 @@ package taskgraph
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"vtrain/internal/comm"
@@ -131,58 +133,91 @@ func TestContendedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestContentionLedgerExactCounts pins the tentpole's exactness contract:
-// the epoch-bucketed occupancy ledger returns the same overlap count as a
-// flat scan over every recorded interval, for any interleaving of inserts
-// and queries — including boundary-touching intervals (end == query start),
-// times beyond the epoch cap, zero times, and pooled reuse across resets
-// with different epoch widths.
-func TestContentionLedgerExactCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// serialFlows drives a ledger the way replay does: every slot is one comm
+// stream with its own timeline, each flow starts at or after the slot's
+// previous end (a third of the time exactly at it), and each flow is
+// recorded on one to three of the ledger's classes. Before recording, every
+// flow queries its classes' overlap counts, and a random [s, e) range —
+// often sharing an endpoint with some slot's recorded flow — is queried
+// too; all counts are checked against a flat scan of what was recorded.
+func serialFlows(t *testing.T, rng *rand.Rand, cs *contState, classes, slots, flows int) {
+	t.Helper()
 	type iv struct{ start, end float64 }
-	for round := 0; round < 6; round++ {
-		// Vary the width across rounds: fine widths force deep epochs (and
-		// the clamp at contEpochCap), coarse widths force long spill chains.
-		invW := []float64{1e-4, 1, 64, 1e9, 1e12, 0.25}[round]
-		ct := &ContentionTable{classes: 3, invW: invW}
-		cs := getContState(ct)
-		ref := make([][]iv, ct.classes)
-		for op := 0; op < 4000; op++ {
-			class := rng.Intn(ct.classes)
-			start := rng.Float64() * 100
-			var end float64
-			switch rng.Intn(4) {
-			case 0:
-				end = start + rng.Float64()*0.01 // short flow
-			case 1:
-				end = start + rng.Float64()*50 // long flow
-			case 2:
-				end = start + 1e-12 // near-degenerate
-			default:
-				// Reuse a recorded boundary so equal-endpoint comparisons
-				// (overlap is half-open: [s, e) vs [s2, e2)) are exercised.
-				if r := ref[class]; len(r) > 0 {
-					prev := r[rng.Intn(len(r))]
-					start, end = prev.end, prev.end+rng.Float64()*5
-				} else {
-					end = start + 1
-				}
-			}
-			want := 0
-			for _, p := range ref[class] {
-				if p.start < end && p.end > start {
-					want++
-				}
-			}
-			if got := cs.overlaps(class, start, end); got != want {
-				t.Fatalf("round %d (invW=%g) op %d: overlaps(%d, %g, %g) = %d, want %d (n=%d)",
-					round, invW, op, class, start, end, got, want, len(ref[class]))
-			}
-			if rng.Intn(3) > 0 {
-				cs.record(class, start, end)
-				ref[class] = append(ref[class], iv{start, end})
+	ref := make([][]iv, classes)
+	free := make([]float64, slots)
+	check := func(class int, s, e float64) {
+		t.Helper()
+		want := 0
+		for _, p := range ref[class] {
+			if p.start < e && p.end > s {
+				want++
 			}
 		}
+		if got := cs.overlaps(class, s, e); got != want {
+			t.Fatalf("class %d: overlaps(%v, %v) = %d, want %d (%d flows recorded)",
+				class, s, e, got, want, len(ref[class]))
+		}
+	}
+	for op := 0; op < flows; op++ {
+		slot := rng.Intn(slots)
+		start := free[slot]
+		if rng.Intn(3) > 0 {
+			start += rng.Float64() * 2
+		}
+		var end float64
+		switch rng.Intn(3) {
+		case 0:
+			end = start + rng.Float64()*0.01 // short flow
+		case 1:
+			end = start + rng.Float64()*5 // long flow
+		default:
+			end = start + 1e-12 // near-degenerate
+		}
+		free[slot] = end
+		var picked []int
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			if c := rng.Intn(classes); !slices.Contains(picked, c) {
+				picked = append(picked, c)
+			}
+		}
+		for _, class := range picked {
+			check(class, start, end)
+		}
+		for _, class := range picked {
+			cs.record(class, int32(2*slot+1), start, end)
+			ref[class] = append(ref[class], iv{start, end})
+		}
+		// An arbitrary range, anchored on recorded endpoints half the time
+		// (overlap is half-open: [s, e) vs [s2, e2)).
+		class := rng.Intn(classes)
+		s := rng.Float64() * free[slot]
+		e := s + rng.Float64()*3
+		if r := ref[class]; len(r) > 0 && rng.Intn(2) == 0 {
+			a, b := r[rng.Intn(len(r))], r[rng.Intn(len(r))]
+			s, e = a.end, b.start
+			if rng.Intn(2) == 0 {
+				s, e = a.start, b.end
+			}
+			if e <= s {
+				e = s + rng.Float64()
+			}
+		}
+		check(class, s, e)
+	}
+}
+
+// TestContentionLedgerExactCounts pins the ledger's exactness contract on
+// its real input: several slots per class, each emitting serial flows (a
+// start at or after the slot's previous end on that class, including
+// exactly at it), queried over arbitrary ranges — including endpoints equal
+// to other slots' recorded endpoints — and cross-checked against a flat
+// scan. Pooled reuse must hand back a clean ledger.
+func TestContentionLedgerExactCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 6; round++ {
+		ct := &ContentionTable{classes: 1 + round}
+		cs := getContState(ct)
+		serialFlows(t, rng, cs, ct.classes, 1+2*round, 3000)
 		// Release and reacquire: the pooled state must come back clean.
 		putContState(cs)
 		cs = getContState(ct)
@@ -195,6 +230,30 @@ func TestContentionLedgerExactCounts(t *testing.T) {
 	}
 }
 
+// TestContentionLedgerOutOfOrderPanics pins the seriality invariant: a flow
+// recorded on a slot's run before that run's last end would corrupt the
+// binary-search counts, so it panics naming the class and slot. Starting
+// exactly at the previous end, and another slot recording an earlier flow,
+// are both legal.
+func TestContentionLedgerOutOfOrderPanics(t *testing.T) {
+	cs := getContState(&ContentionTable{classes: 8})
+	defer putContState(cs)
+	cs.record(5, 3, 0, 2)
+	cs.record(5, 3, 2, 4)
+	cs.record(5, 7, 1, 3)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("out-of-order flow on slot 3 recorded without a panic")
+		}
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "class 5 slot 3") {
+			t.Fatalf("panic %q does not name class 5 slot 3", r)
+		}
+	}()
+	cs.record(5, 3, 3.5, 5)
+}
+
 // TestContStateResetAcrossClassCounts pins pooled-state reuse across
 // clusters of different sizes (cluster sweeps, the warm server pool share
 // one contStatePool). Growing the ledger by append can leave cap > len, so
@@ -204,7 +263,7 @@ func TestContentionLedgerExactCounts(t *testing.T) {
 func TestContStateResetAcrossClassCounts(t *testing.T) {
 	cs := new(contState)
 	for _, classes := range []int{10, 13, 15, 4, 11, 64, 20} {
-		ct := &ContentionTable{classes: classes, invW: 1}
+		ct := &ContentionTable{classes: classes}
 		cs.reset(ct)
 		if len(cs.led) < classes {
 			t.Fatalf("classes=%d: ledger len %d after reset", classes, len(cs.led))
@@ -213,11 +272,66 @@ func TestContStateResetAcrossClassCounts(t *testing.T) {
 			if got := cs.overlaps(class, 0, 1e18); got != 0 {
 				t.Fatalf("classes=%d: class %d not reset, reports %d overlaps", classes, class, got)
 			}
-			cs.record(class, float64(class), float64(class)+2)
+			cs.record(class, 1, float64(class), float64(class)+2)
 			if got := cs.overlaps(class, float64(class)+1, float64(class)+3); got != 1 {
 				t.Fatalf("classes=%d: class %d overlaps = %d, want 1", classes, class, got)
 			}
 		}
+	}
+}
+
+// TestContStatePoolSequences is the pooled-scratch property test, the bug
+// class of the "makeslice: len out of range" reset panic: a seeded
+// sequence of ledger sizes — class counts, slots, and flows growing,
+// shrinking, and landing in between, through both direct resets and the
+// sync.Pool — must always find a clean ledger with exact counts. After a
+// large replay, shrinkAfter+1 small ones must shed the oversized flow
+// arena and ledger slice.
+func TestContStatePoolSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cs := new(contState)
+	for step := 0; step < 120; step++ {
+		classes := 1 + rng.Intn(40)
+		slots := 1 + rng.Intn(12)
+		flows := rng.Intn(200)
+		if step%25 == 0 {
+			classes, flows = 80+rng.Intn(40), 4000
+		}
+		ct := &ContentionTable{classes: classes}
+		if rng.Intn(2) == 0 {
+			cs.reset(ct)
+		} else {
+			putContState(cs)
+			cs = getContState(ct)
+		}
+		if len(cs.led) < classes {
+			t.Fatalf("step %d: %d ledgers for %d classes", step, len(cs.led), classes)
+		}
+		for c := range cs.led {
+			if cs.led[c].n != 0 || cs.overlaps(c, -1e18, 1e18) != 0 {
+				t.Fatalf("step %d: class %d of %d not clean after reset", step, c, len(cs.led))
+			}
+		}
+		serialFlows(t, rng, cs, classes, slots, flows)
+	}
+
+	// One large replay, then small ones: shrinkAfter oversized resets
+	// must shed the large replay's arena and ledger slice.
+	big := &ContentionTable{classes: 200}
+	cs.reset(big)
+	serialFlows(t, rng, cs, big.classes, 4, 20000)
+	bigArena := cap(cs.arena)
+	small := &ContentionTable{classes: 3}
+	for i := 0; i <= shrinkAfter; i++ {
+		cs.reset(small)
+		serialFlows(t, rng, cs, small.classes, 2, 4)
+	}
+	if cap(cs.led) > 4*small.classes {
+		t.Fatalf("ledger slice capacity %d kept after %d small resets (classes %d)", cap(cs.led), shrinkAfter+1, small.classes)
+	}
+	if c := cap(cs.arena); c > 4*int(cs.top) {
+		t.Fatalf("arena capacity %d flows (%d after the large replay) kept after %d small replays using %d",
+			c, bigArena, shrinkAfter+1, cs.top)
 	}
 }
 

@@ -167,11 +167,6 @@ type Graph struct {
 	// resolves descriptors into concrete per-task durations for one plan.
 	descs  []durDesc
 	durIdx []int32
-	// descCnt counts the tasks sharing each descriptor (parallel to descs,
-	// derived from durIdx at Build/decode time, never persisted). Bindings
-	// use it to weight per-descriptor values by task population without an
-	// O(tasks) pass per bind.
-	descCnt []int32
 	// labels holds the per-source-node label coordinates captured from the
 	// operator graph at lowering time, in columnar form; TaskLabel composes
 	// them on demand. Unlike the labelOf closure they are plain data, so a
@@ -192,19 +187,6 @@ type Graph struct {
 	// hand-built graphs may install one via SetLabeler. Lowered graphs use
 	// labels instead. Only trace capture calls it.
 	labelOf func(source int) string
-}
-
-// countDescTasks tallies how many tasks share each duration descriptor —
-// the derived slab behind Graph.descCnt, rebuilt rather than persisted.
-func countDescTasks(descs []durDesc, durIdx []int32) []int32 {
-	if descs == nil {
-		return nil
-	}
-	cnt := make([]int32, len(descs))
-	for _, di := range durIdx {
-		cnt[di]++
-	}
-	return cnt
 }
 
 // Structural reports whether the graph was lowered without durations and
@@ -447,7 +429,6 @@ func (b *Builder) Build() *Graph {
 		if ident {
 			g.sources = nil
 		}
-		g.descCnt = countDescTasks(g.descs, g.durIdx)
 	}
 	for i := 0; i < n; i++ {
 		if g.indeg[i] == 0 {
