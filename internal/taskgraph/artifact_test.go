@@ -80,11 +80,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatalf("fid %v plan %s: decoded graph differs from lowered graph", fid, plan)
 			}
 
-			ref, err := g.Replay(g.Bind(prof, cm, plan, c))
+			ref, err := g.ReplayContended(g.Bind(prof, cm, plan, c), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := got.Replay(got.Bind(prof, cm, plan, c))
+			res, err := got.ReplayContended(got.Bind(prof, cm, plan, c), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,33 +41,27 @@ func fitZero[T int32 | float64](s []T, n int, drop bool) []T {
 
 // fitRaw is fitZero without the zeroing, for buffers the caller fully
 // overwrites before reading.
-func fitRaw[T int32 | float64](s []T, n int, drop bool) []T {
+func fitRaw[T any](s []T, n int, drop bool) []T {
 	if cap(s) < n || drop {
 		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// batchScratch holds all mutable state of one ReplayBatch call: the shared
-// structural traversal (ref counts, FIFO queue — one per batch, since
-// topological order is structure-only) plus the columnar per-lane clocks.
-// The per-task columns are lane-major ([task][lane] flattened), so the hot
-// inner loop advances k adjacent lanes with contiguous loads and stores.
+// batchScratch holds all mutable state of one replay: the shared structural
+// traversal (ref counts, FIFO queue — one per batch, since topological order
+// is structure-only) plus the columnar per-lane clocks. The per-task columns
+// are lane-major ([task][lane] flattened), so the lane loop advances k
+// adjacent lanes with contiguous loads and stores.
 type batchScratch struct {
 	// ref and queue drive the single shared traversal (Algorithm 1's
 	// dependency counts and FIFO queue, shared by every lane).
 	ref   []int32
 	queue []int32
-	// dur and flops hold each lane's bound table columns; the replay reads
-	// them in place (k parallel sequential streams as the queue advances —
-	// stacking them lane-major would cost a strided transpose pass that
-	// overwhelms the walk it saves). Lanes bound by descriptor instead carry
-	// their table's priced-value slice and durIdx slab in vals and durIdx,
-	// with dur/flops nil.
-	dur    [][]float64
-	flops  [][]float64
-	vals   [][]descVal
-	durIdx [][]int32
+	// vals[lane] and idx[lane] are lane's bound table: the replay gathers
+	// vals[lane][idx[lane][id]] in place (see DurationTable).
+	vals [][]descVal
+	idx  [][]int32
 	// ready[id*k+lane] is lane's earliest dependency-permitted start. Not
 	// pre-zeroed: a task's row is written in full by its first incoming
 	// edge (detected via the untouched ref count), and root rows — which
@@ -102,16 +96,12 @@ func (sc *batchScratch) reset(n, devices, classes, k int) {
 		sc.queue = make([]int32, 0, n)
 	}
 	sc.queue = sc.queue[:0]
-	if cap(sc.dur) < k {
-		sc.dur = make([][]float64, k)
-		sc.flops = make([][]float64, k)
+	if cap(sc.vals) < k {
 		sc.vals = make([][]descVal, k)
-		sc.durIdx = make([][]int32, k)
+		sc.idx = make([][]int32, k)
 	}
-	sc.dur = sc.dur[:k]
-	sc.flops = sc.flops[:k]
 	sc.vals = sc.vals[:k]
-	sc.durIdx = sc.durIdx[:k]
+	sc.idx = sc.idx[:k]
 	sc.ready = fitRaw(sc.ready, n*k, drop)
 	sc.free = fitZero(sc.free, 2*devices*k, drop)
 	sc.busy = fitZero(sc.busy, 2*devices*k, drop)
@@ -119,49 +109,72 @@ func (sc *batchScratch) reset(n, devices, classes, k int) {
 	sc.flopsSum = fitZero(sc.flopsSum, k, drop)
 }
 
-// ReplayBatch replays the graph under every table in tables, walking the
-// CSR structure once while advancing len(tables) simulated clocks in
-// lockstep. Results[i] is bit-identical to Replay(tables[i]): each lane
-// performs exactly the floating-point operations of a sequential replay, in
-// the same order — batching shares only the structure-determined work (FIFO
-// traversal, dependency counting, task decoding), which is identical across
-// lanes. Like Replay it never writes to g or the tables, so concurrent
-// batches over one graph are safe.
-//
-// An empty batch returns nil. For hand-built graphs each table must still
-// be produced by Bind, which copies the tasks' eager durations.
-func (g *Graph) ReplayBatch(tables []*DurationTable) ([]Result, error) {
-	return g.replayBatch(tables, nil)
+// ReplayContended simulates one iteration per Algorithm 1 — a FIFO ready
+// queue, per-device timelines split into compute and communication streams,
+// and dependency reference counts — using the per-plan durations bound in
+// tbl. A nil ct replays the ideal network; a non-nil ct (the contention
+// fidelity level) makes comm tasks sharing fat-tree links with concurrently
+// in-flight comm tasks run slower by the congestion model's derate factors.
+// Replay never writes to g, tbl, or ct, so one shared structural graph may
+// be replayed under many tables concurrently.
+func (g *Graph) ReplayContended(tbl *DurationTable, ct *ContentionTable) (Result, error) {
+	var res [1]Result
+	_, err := g.replay([]*DurationTable{tbl}, []*ContentionTable{ct}, res[:], false)
+	return res[0], err
 }
 
-// ReplayBatchContended is ReplayBatch under the contention fidelity level:
-// cts[i] derates lane i's communication tasks (see ReplayContended). Each
-// lane carries its own occupancy ledger — lanes are independent simulated
+// ReplayTraceContended is ReplayContended plus the full execution timeline;
+// span durations reflect derated comm tasks. Span labels resolve through
+// the table's binding, so kernel names reflect the bound plan's tensor
+// shapes exactly as a from-scratch lowering would.
+func (g *Graph) ReplayTraceContended(tbl *DurationTable, ct *ContentionTable) (Result, []Span, error) {
+	var res [1]Result
+	spans, err := g.replay([]*DurationTable{tbl}, []*ContentionTable{ct}, res[:], true)
+	return res[0], spans, err
+}
+
+// ReplayBatchContended replays the graph under every table in tables,
+// walking the CSR structure once while advancing len(tables) simulated
+// clocks in lockstep. Results[i] is bit-identical to
+// ReplayContended(tables[i], cts[i]): each lane performs exactly the
+// floating-point operations of a single replay, in the same order — batching
+// shares only the structure-determined work (FIFO traversal, dependency
+// counting, task decoding), which is identical across lanes. Each lane
+// carries its own occupancy ledger: lanes are independent simulated
 // clusters and never contend with each other. cts may be nil, and any
-// cts[i] may be nil; such lanes replay exactly like ReplayBatch, bit for
-// bit, so mixed ideal/contended batches stay well-defined.
+// cts[i] may be nil; such lanes replay the ideal network.
+//
+// An empty batch returns nil.
 func (g *Graph) ReplayBatchContended(tables []*DurationTable, cts []*ContentionTable) ([]Result, error) {
 	if cts != nil && len(cts) != len(tables) {
 		return nil, fmt.Errorf("taskgraph: batch has %d tables but %d contention tables", len(tables), len(cts))
 	}
-	return g.replayBatch(tables, cts)
-}
-
-func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable) ([]Result, error) {
-	k := len(tables)
-	if k == 0 {
+	if len(tables) == 0 {
 		return nil, nil
 	}
+	results := make([]Result, len(tables))
+	_, err := g.replay(tables, cts, results, false)
+	return results, err
+}
+
+// replay is the replay kernel behind every entry point: it writes lane l's
+// result to results[l] and, when capture is set (width 1 only), returns the
+// timeline. The walk has two bodies, chosen by batch width: a width-1 body
+// with the lane subscripts collapsed away, and the lane loop. They perform
+// the identical float operations; the lane loop at width 1 would cost ~1.5x
+// on a Megatron-3.6B graph.
+func (g *Graph) replay(tables []*DurationTable, cts []*ContentionTable, results []Result, capture bool) ([]Span, error) {
+	k := len(tables)
 	n := g.NumTasks()
 	if n == 0 {
 		return nil, fmt.Errorf("taskgraph: graph has no tasks")
 	}
 	for i, tbl := range tables {
 		if tbl == nil {
-			return nil, fmt.Errorf("taskgraph: batch table %d is nil; Bind a DurationTable per lane", i)
+			return nil, fmt.Errorf("taskgraph: duration table %d is nil; Bind one per replayed plan", i)
 		}
 		if tbl.Len() != n {
-			return nil, fmt.Errorf("taskgraph: batch table %d binds %d tasks, graph has %d", i, tbl.Len(), n)
+			return nil, fmt.Errorf("taskgraph: duration table %d binds %d tasks, graph has %d", i, tbl.Len(), n)
 		}
 	}
 
@@ -174,91 +187,141 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable) ([]
 	// ledgers themselves come from the contState pool, like every other
 	// piece of replay scratch.
 	var states []*contState
-	if cts != nil {
-		for l, ct := range cts {
-			if ct == nil {
-				continue
-			}
-			if states == nil {
-				if cap(sc.states) < k {
-					sc.states = make([]*contState, k)
-				}
-				states = sc.states[:k]
-			}
-			states[l] = getContState(ct)
+	for l, ct := range cts {
+		if ct == nil {
+			continue
 		}
-	}
-
-	for l, tbl := range tables {
-		if tbl.byDesc {
-			sc.vals[l], sc.durIdx[l] = tbl.vals, tbl.durIdx
-			sc.dur[l], sc.flops[l] = nil, nil
-		} else {
-			sc.dur[l], sc.flops[l] = tbl.dur, tbl.flops
-			sc.vals[l], sc.durIdx[l] = nil, nil
+		if states == nil {
+			if cap(sc.states) < k {
+				sc.states = make([]*contState, k)
+			}
+			states = sc.states[:k]
 		}
+		states[l] = getContState(ct)
 	}
 
 	copy(sc.ref, g.indeg)
-	queue := append(sc.queue, g.roots...)
+	sc.queue = append(sc.queue, g.roots...)
 	for _, r := range g.roots {
 		clear(sc.ready[int(r)*k : int(r)*k+k]) // rows no edge will write
 	}
 
-	executed := 0
+	var spans []Span
 	if k == 1 {
-		// Width-1 batches (a shape group with a single pending plan) skip
-		// the lane machinery: the scalar loop below performs the identical
-		// float operations on the same columnar state with lane subscripts
-		// collapsed away.
-		dur, flops := sc.dur[0], sc.flops[0]
-		vals, durIdx := sc.vals[0], sc.durIdx[0]
-		flopsSum := 0.0
-		for head := 0; head < len(queue); head++ {
-			id := queue[head]
-			slot := g.slotOf[id]
-			var d, fl float64
-			if vals != nil {
-				dv := &vals[durIdx[id]]
-				d, fl = dv.dur, dv.flops
-			} else {
-				d, fl = dur[id], flops[id]
-			}
-			start := sc.ready[id]
-			if f := sc.free[slot]; f > start {
-				start = f
-			}
-			if states != nil && states[0] != nil && int(slot)&1 == int(CommStream) {
-				d = cts[0].contend(states[0], int32(slot), g.durIdx[id], start, d)
-			}
-			finish := start + d
-			sc.free[slot] = finish
-			sc.busy[slot] += d
-			sc.classSec[g.classOf[id]] += d
-			flopsSum += fl
-			executed++
-			for _, cid := range g.Children(int(id)) {
-				if sc.ref[cid] == g.indeg[cid] {
-					v := 0.0
-					if finish > 0 {
-						v = finish
-					}
-					sc.ready[cid] = v
-				} else if finish > sc.ready[cid] {
-					sc.ready[cid] = finish
-				}
-				sc.ref[cid]--
-				if sc.ref[cid] == 0 {
-					queue = append(queue, cid)
-				}
+		var ct *ContentionTable
+		var st *contState
+		if states != nil {
+			ct, st = cts[0], states[0]
+		}
+		if capture {
+			spans = make([]Span, 0, n)
+		}
+		spans = g.walkOne(sc, tables[0], ct, st, spans)
+	} else {
+		g.walkLanes(sc, tables, cts, states)
+	}
+	// Every queued task was popped and executed.
+	executed := len(sc.queue)
+
+	for l := range results {
+		res := &results[l]
+		res.ComputeBusy = make([]float64, g.Devices)
+		res.CommBusy = make([]float64, g.Devices)
+		for d := 0; d < g.Devices; d++ {
+			res.ComputeBusy[d] = sc.busy[(2*d+int(ComputeStream))*k+l]
+			res.CommBusy[d] = sc.busy[(2*d+int(CommStream))*k+l]
+		}
+		for slot := 0; slot < 2*g.Devices; slot++ {
+			if f := sc.free[slot*k+l]; f > res.IterTime {
+				res.IterTime = f
 			}
 		}
-		sc.flopsSum[0] = flopsSum
+		res.FLOPs = sc.flopsSum[l]
+		res.Executed = executed
+		res.ClassSeconds = make(map[string]float64, len(g.classes))
+		for c, name := range g.classes {
+			res.ClassSeconds[name] = sc.classSec[c*k+l]
+		}
 	}
-	for head := 0; k > 1 && head < len(queue); head++ {
+
+	sc.queue = sc.queue[:0]
+	for l := range sc.vals {
+		sc.vals[l], sc.idx[l] = nil, nil // don't pin released tables
+	}
+	for l := range states {
+		putContState(states[l])
+		states[l] = nil
+	}
+	batchScratchPool.Put(sc)
+
+	if executed != n {
+		return spans, fmt.Errorf("taskgraph: deadlock, executed %d of %d tasks", executed, n)
+	}
+	return spans, nil
+}
+
+// walkOne is the width-1 body of replay: Algorithm 1 for one table, with
+// optional contention (st non-nil) and span capture (spans non-nil).
+func (g *Graph) walkOne(sc *batchScratch, tbl *DurationTable, ct *ContentionTable, st *contState, spans []Span) []Span {
+	capture := spans != nil
+	vals, idx := tbl.vals, tbl.idx
+	queue := sc.queue
+	flopsSum := 0.0
+	for head := 0; head < len(queue); head++ {
 		id := queue[head] // fetch in FIFO order
 		// slotOf keeps the loop off the wide Task values (a cache miss per
 		// pop otherwise).
+		slot := g.slotOf[id]
+		dv := &vals[idx[id]]
+		d, fl := dv.dur, dv.flops
+		start := sc.ready[id]
+		if f := sc.free[slot]; f > start {
+			start = f
+		}
+		if st != nil && slot&1 == int32(CommStream) {
+			d = ct.contend(st, slot, g.durIdx[id], start, d)
+		}
+		finish := start + d
+		sc.free[slot] = finish // proceed the timeline
+		sc.busy[slot] += d
+		sc.classSec[g.classOf[id]] += d
+		flopsSum += fl
+		if capture {
+			spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: tbl.taskLabel(g, int(id))})
+		}
+		for _, cid := range g.Children(int(id)) {
+			if sc.ref[cid] == g.indeg[cid] {
+				// First incoming edge: max(0, finish), what folding into
+				// a zeroed row computes.
+				v := 0.0
+				if finish > 0 {
+					v = finish
+				}
+				sc.ready[cid] = v
+			} else if finish > sc.ready[cid] {
+				sc.ready[cid] = finish // update the child task
+			}
+			sc.ref[cid]--
+			if sc.ref[cid] == 0 {
+				queue = append(queue, cid) // update the task queue
+			}
+		}
+	}
+	sc.flopsSum[0] = flopsSum
+	sc.queue = queue
+	return spans
+}
+
+// walkLanes is the lane loop of replay: one shared FIFO walk advancing one
+// clock per table for every popped task.
+func (g *Graph) walkLanes(sc *batchScratch, tables []*DurationTable, cts []*ContentionTable, states []*contState) {
+	k := len(tables)
+	for l, tbl := range tables {
+		sc.vals[l], sc.idx[l] = tbl.vals, tbl.idx
+	}
+	queue := sc.queue
+	for head := 0; head < len(queue); head++ {
+		id := queue[head] // fetch in FIFO order
 		slot := int(g.slotOf[id])
 		// Row subslices fix the bounds once, so the lane loops below are
 		// check-free.
@@ -267,13 +330,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable) ([]
 		busy := sc.busy[slot*k : slot*k+k]
 		classSec := sc.classSec[int(g.classOf[id])*k : int(g.classOf[id])*k+k]
 		for l := 0; l < k; l++ {
-			var dur, fl float64
-			if v := sc.vals[l]; v != nil {
-				dv := &v[sc.durIdx[l][id]]
-				dur, fl = dv.dur, dv.flops
-			} else {
-				dur, fl = sc.dur[l][id], sc.flops[l][id]
-			}
+			dv := &sc.vals[l][sc.idx[l][id]]
+			dur, fl := dv.dur, dv.flops
 			start := ready[l]
 			if f := free[l]; f > start {
 				start = f
@@ -286,7 +344,6 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable) ([]
 			classSec[l] += dur
 			sc.flopsSum[l] += fl
 		}
-		executed++
 		for _, cid := range g.Children(int(id)) {
 			cready := sc.ready[int(cid)*k : int(cid)*k+k]
 			if sc.ref[cid] == g.indeg[cid] {
@@ -313,43 +370,5 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable) ([]
 			}
 		}
 	}
-
-	results := make([]Result, k)
-	for l := range results {
-		res := &results[l]
-		res.ComputeBusy = make([]float64, g.Devices)
-		res.CommBusy = make([]float64, g.Devices)
-		for d := 0; d < g.Devices; d++ {
-			res.ComputeBusy[d] = sc.busy[(2*d+int(ComputeStream))*k+l]
-			res.CommBusy[d] = sc.busy[(2*d+int(CommStream))*k+l]
-		}
-		// Max over slots in slot order, matching the sequential replay.
-		for slot := 0; slot < 2*g.Devices; slot++ {
-			if f := sc.free[slot*k+l]; f > res.IterTime {
-				res.IterTime = f
-			}
-		}
-		res.FLOPs = sc.flopsSum[l]
-		res.Executed = executed
-		res.ClassSeconds = make(map[string]float64, len(g.classes))
-		for c, name := range g.classes {
-			res.ClassSeconds[name] = sc.classSec[c*k+l]
-		}
-	}
-
-	sc.queue = queue[:0]
-	for l := range sc.dur {
-		sc.dur[l], sc.flops[l] = nil, nil // don't pin released tables
-		sc.vals[l], sc.durIdx[l] = nil, nil
-	}
-	for l := range states {
-		putContState(states[l])
-		states[l] = nil
-	}
-	batchScratchPool.Put(sc)
-
-	if executed != n {
-		return results, fmt.Errorf("taskgraph: deadlock, executed %d of %d tasks", executed, n)
-	}
-	return results, nil
+	sc.queue = queue
 }

@@ -1,7 +1,11 @@
 package taskgraph
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"vtrain/internal/comm"
@@ -13,7 +17,7 @@ import (
 )
 
 // batchFixture lowers one structural graph and binds a table per plan, the
-// way SimulateBatch feeds ReplayBatch: all plans share the graph's shape,
+// way SimulateBatch feeds ReplayBatchContended: all plans share the graph's shape,
 // only their bound durations differ.
 func batchFixture(t *testing.T, plans []parallel.Plan) (*Graph, []*DurationTable) {
 	t.Helper()
@@ -34,7 +38,7 @@ func batchFixture(t *testing.T, plans []parallel.Plan) (*Graph, []*DurationTable
 
 // requireIdentical fails unless got and want are bit-identical — float
 // equality is exact, not approximate, because each batch lane must perform
-// the sequential replay's operations in the same order.
+// a single replay's operations in the same order.
 func requireIdentical(t *testing.T, lane int, got, want Result) {
 	t.Helper()
 	if got.IterTime != want.IterTime {
@@ -64,11 +68,12 @@ func requireIdentical(t *testing.T, lane int, got, want Result) {
 	}
 }
 
-// TestReplayBatchEquivalence pins the tentpole contract: ReplayBatch over K
-// tables returns exactly what K sequential Replay calls return — bit for
-// bit — at width 1, at width > 1, and for a shape group mixing micro-batch
-// sizes (same micro-batch count, so one structure; different data widths,
-// so different durations per lane).
+// TestReplayBatchEquivalence pins the batching contract and the equivalence
+// of replay's two bodies: the lane loop over K tables returns exactly what K
+// single replays through the width-1 body return — bit for bit — at width
+// > 1 and for a shape group mixing micro-batch sizes (same micro-batch
+// count, so one structure; different data widths, so different durations
+// per lane).
 func TestReplayBatchEquivalence(t *testing.T) {
 	// All plans share (pipeline depth 2, 8 micro-batches): d=1,mb=2 and
 	// d=2,mb=1 both split GlobalBatch 16 into 8 micro-batches, and tensor
@@ -87,7 +92,7 @@ func TestReplayBatchEquivalence(t *testing.T) {
 
 	want := make([]Result, len(tables))
 	for i, tbl := range tables {
-		res, err := g.Replay(tbl)
+		res, err := g.ReplayContended(tbl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +100,7 @@ func TestReplayBatchEquivalence(t *testing.T) {
 	}
 
 	for _, k := range []int{1, 3, len(tables)} {
-		got, err := g.ReplayBatch(tables[:k])
+		got, err := g.ReplayBatchContended(tables[:k], nil)
 		if err != nil {
 			t.Fatalf("width %d: %v", k, err)
 		}
@@ -110,7 +115,7 @@ func TestReplayBatchEquivalence(t *testing.T) {
 	// Batch composition must not leak between lanes: the same table in a
 	// different lane position still reproduces its sequential result.
 	perm := []*DurationTable{tables[5], tables[0], tables[3]}
-	got, err := g.ReplayBatch(perm)
+	got, err := g.ReplayBatchContended(perm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +132,183 @@ func TestReplayBatchValidation(t *testing.T) {
 	}
 	g, tables := batchFixture(t, plans)
 
-	if res, err := g.ReplayBatch(nil); res != nil || err != nil {
+	if res, err := g.ReplayBatchContended(nil, nil); res != nil || err != nil {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", res, err)
 	}
-	if _, err := g.ReplayBatch([]*DurationTable{tables[0], nil}); err == nil || !strings.Contains(err.Error(), "nil") {
+	if _, err := g.ReplayBatchContended([]*DurationTable{tables[0], nil}, nil); err == nil || !strings.Contains(err.Error(), "nil") {
 		t.Fatalf("nil table: err = %v", err)
 	}
 
 	other := parallel.Plan{Tensor: 1, Data: 1, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8}
 	_, wrong := batchFixture(t, []parallel.Plan{other})
-	if _, err := g.ReplayBatch([]*DurationTable{wrong[0]}); err == nil || !strings.Contains(err.Error(), "binds") {
+	if _, err := g.ReplayBatchContended([]*DurationTable{wrong[0]}, nil); err == nil || !strings.Contains(err.Error(), "binds") {
 		t.Fatalf("mis-sized table: err = %v", err)
+	}
+}
+
+// freshPools replaces the table and replay-scratch pools with empty ones,
+// so the next Bind and replay start from newly allocated storage.
+func freshPools() {
+	tablePool = sync.Pool{New: tablePool.New}
+	batchScratchPool = sync.Pool{New: batchScratchPool.New}
+}
+
+// poolCase is one binding of the pooled-reuse sequence and its reference
+// replay from fresh pools.
+type poolCase struct {
+	g     *Graph
+	bind  func() *DurationTable
+	want  Result
+	spans []Span
+}
+
+// TestReplayPoolSequences is the pooled-reuse property test for bound
+// tables and replay scratch, the bug class of the "makeslice: len out of
+// range" reset panic. A seeded sequence of Bind, replay, and Release
+// alternates descriptor gathers (a few dozen entries) with identity
+// gathers (one entry per task, from marker-less and stateful timers and
+// hand-built graphs) over graphs from 3 to 6,000 tasks, at batch widths 1,
+// 4, and 16, so pooled tables and scratch grow, shrink, and land in
+// between. Every result and timeline must match, bit for bit, the replay of
+// the same binding from fresh pools.
+func TestReplayPoolSequences(t *testing.T) {
+	c := hw.PaperCluster(8)
+	cm := comm.NewModel(c)
+	timers := []func() CommTimer{
+		func() CommTimer { return cm },
+		func() CommTimer { return stripMarker{cm} },
+		func() CommTimer { return &driftTimer{cm: cm} },
+	}
+	var groups [][]poolCase
+	for _, shape := range []struct {
+		fid   Fidelity
+		plans []parallel.Plan
+	}{
+		{OperatorLevel, []parallel.Plan{
+			{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2},
+			{Tensor: 2, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2},
+		}},
+		{TaskLevel, []parallel.Plan{
+			{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
+			{Tensor: 2, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
+		}},
+		{OperatorLevel, []parallel.Plan{
+			{Tensor: 2, Data: 2, Pipeline: 4, MicroBatch: 1, GlobalBatch: 32, GradientBuckets: 2},
+			{Tensor: 1, Data: 4, Pipeline: 4, MicroBatch: 1, GlobalBatch: 64, GradientBuckets: 2},
+		}},
+	} {
+		g, prof := lowerOn(t, tinyModel(), shape.plans[0], c, shape.fid)
+		var group []poolCase
+		for _, plan := range shape.plans {
+			for _, timer := range timers {
+				group = append(group, poolCase{g: g, bind: func() *DurationTable { return g.Bind(prof, timer(), plan, c) }})
+			}
+		}
+		groups = append(groups, group)
+	}
+	for i, n := range []int{3, 60, 900, 6000} {
+		g := lockdownHandBuilt(int64(10+i), n, 1+i)
+		groups = append(groups, []poolCase{{g: g, bind: func() *DurationTable { return bindEager(g) }}})
+	}
+
+	for _, group := range groups {
+		for i := range group {
+			pc := &group[i]
+			freshPools()
+			res, spans, err := pc.g.ReplayTraceContended(pc.bind(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pc.want, pc.spans = res, spans
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	step := 0
+	defer func() {
+		if t.Failed() {
+			t.Logf("failed at step %d", step)
+		}
+	}()
+	for ; step < 300; step++ {
+		group := groups[rng.Intn(len(groups))]
+		k := []int{1, 4, 16}[rng.Intn(3)]
+		lanes := make([]*poolCase, k)
+		tables := make([]*DurationTable, k)
+		for l := range lanes {
+			lanes[l] = &group[rng.Intn(len(group))]
+			tables[l] = lanes[l].bind()
+		}
+		g := lanes[0].g
+		if k == 1 && rng.Intn(2) == 0 {
+			res, spans, err := g.ReplayTraceContended(tables[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, 0, res, lanes[0].want)
+			if !slices.Equal(spans, lanes[0].spans) {
+				t.Fatal("timeline differs from the fresh-pool replay")
+			}
+		} else {
+			got, err := g.ReplayBatchContended(tables, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range got {
+				requireIdentical(t, l, got[l], lanes[l].want)
+			}
+		}
+		for _, l := range rng.Perm(k) {
+			tables[l].Release()
+		}
+	}
+}
+
+// TestIdentityIndexConcurrentGrowth binds per-task tables of growing sizes
+// from several goroutines at once, starting from an empty identity index,
+// so the shared index grows while other tables gather through it. Run it
+// under -race.
+func TestIdentityIndexConcurrentGrowth(t *testing.T) {
+	graphs := make([]*Graph, 6)
+	want := make([]Result, len(graphs))
+	for i := range graphs {
+		graphs[i] = lockdownHandBuilt(int64(20+i), 50<<i, 2)
+		tbl := bindEager(graphs[i])
+		res, err := graphs[i].ReplayContended(tbl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	identity.Lock()
+	identity.idx = nil
+	identity.Unlock()
+
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range graphs {
+				j := (i + w) % len(graphs)
+				tbl := bindEager(graphs[j])
+				res, err := graphs[j].ReplayContended(tbl, nil)
+				tbl.Release()
+				if err == nil && (res.IterTime != want[j].IterTime || res.FLOPs != want[j].FLOPs) {
+					err = fmt.Errorf("graph %d: result differs from the sequential replay", j)
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

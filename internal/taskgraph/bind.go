@@ -48,28 +48,23 @@ type durDesc struct {
 	from, to int32
 }
 
-// descVal is one priced descriptor: the duration and FLOPs every task of
-// that descriptor shares under one plan.
+// descVal is one priced entry of a DurationTable: the duration and FLOPs of
+// every task that gathers it under one plan.
 type descVal struct{ dur, flops float64 }
 
 // DurationTable holds the per-plan numbers of one (structural graph, plan)
-// binding. It has two representations. A stateless binding — the sweep hot
-// path — stores one priced value per *descriptor* (vals, a few dozen
-// entries that live in L1) plus a reference to the graph's durIdx slab;
-// replay gathers vals[durIdx[id]] on the fly, so binding never materializes
-// — or even touches — a per-task array. Stateful communication timers and
-// hand-built graphs still fan out to flat per-task columns (dur, flops),
-// because their values genuinely vary per task. Either way the table is
-// read-only during replay, so one shared structural graph can be bound to
-// many plans and replayed concurrently.
+// binding. Replay reads task id's values as vals[idx[id]] and nothing else.
+// A stateless binding — the sweep hot path — prices one entry per
+// *descriptor* (a few dozen entries that live in L1) and gathers through
+// the graph's durIdx slab, so binding never touches a per-task array.
+// Stateful communication timers and hand-built graphs price one entry per
+// task, because their values genuinely vary per task, and gather through
+// the shared identity index. Either way the table is read-only during
+// replay, so one shared structural graph can be bound to many plans and
+// replayed concurrently.
 type DurationTable struct {
-	n     int
-	dur   []float64
-	flops []float64
-	// byDesc selects the descriptor-gather representation.
-	byDesc bool
-	vals   []descVal
-	durIdx []int32
+	vals []descVal
+	idx  []int32
 
 	// Binding context, retained so trace capture can resolve the
 	// plan-dependent parts of task labels (kernel symbols embed tensor
@@ -82,48 +77,46 @@ type DurationTable struct {
 	oversized int8
 }
 
-// taskValues returns the bound (duration, FLOPs) of task id regardless of
-// representation.
-func (t *DurationTable) taskValues(id int) (float64, float64) {
-	if t.byDesc {
-		v := t.vals[t.durIdx[id]]
-		return v.dur, v.flops
-	}
-	return t.dur[id], t.flops[id]
-}
-
 // Duration returns the bound execution time of task id in seconds.
-func (t *DurationTable) Duration(id int) float64 {
-	d, _ := t.taskValues(id)
-	return d
-}
+func (t *DurationTable) Duration(id int) float64 { return t.vals[t.idx[id]].dur }
 
 // Len returns the number of bound tasks.
-func (t *DurationTable) Len() int { return t.n }
+func (t *DurationTable) Len() int { return len(t.idx) }
 
 // tablePool recycles DurationTables across Bind/Release cycles, keeping
 // sweep workers allocation-lean: a worker that binds thousands of plans
 // reuses the same slices.
 var tablePool = sync.Pool{New: func() any { return new(DurationTable) }}
 
-// tableFor returns a pooled table bound to n tasks. The per-task columns
-// are sized lazily (fitTasks) because the stateless binding path never
-// touches them.
-func tableFor(n int) *DurationTable {
-	t := tablePool.Get().(*DurationTable)
-	t.n = n
-	t.byDesc = false
-	return t
+// fit sizes vals for n entries. Like replay scratch, capacity beyond 4x the
+// request is shed per the hysteretic policy of wantShrink, so one huge
+// per-task binding cannot pin worst-case storage forever.
+func (t *DurationTable) fit(n int) []descVal {
+	drop := wantShrink(cap(t.vals), n, &t.oversized)
+	t.vals = fitRaw(t.vals, n, drop)
+	return t.vals
 }
 
-// fitTasks sizes the per-task columns for the fan-out representation. Like
-// replay scratch, capacity beyond 4x the requested size is shed per the
-// hysteretic policy of wantShrink, so one huge graph cannot pin worst-case
-// storage forever.
-func (t *DurationTable) fitTasks(n int) {
-	drop := wantShrink(cap(t.dur), n, &t.oversized)
-	t.dur = fitRaw(t.dur, n, drop)
-	t.flops = fitRaw(t.flops, n, drop)
+// identity is the read-only iota slab per-task tables gather through. It
+// grows copy-on-write — a grown slab is a fresh allocation, never a write
+// into one a table may hold — so readers need no lock once they have it.
+var identity struct {
+	sync.Mutex
+	idx []int32
+}
+
+// identityIndex returns [0, 1, ..., n-1], shared by every caller.
+func identityIndex(n int) []int32 {
+	identity.Lock()
+	defer identity.Unlock()
+	if len(identity.idx) < n {
+		idx := make([]int32, max(n, 2*len(identity.idx)))
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		identity.idx = idx
+	}
+	return identity.idx[:n:n]
 }
 
 // Release returns the table to the binding pool. Callers that are done with
@@ -135,8 +128,7 @@ func (t *DurationTable) Release() {
 	}
 	t.prof = nil
 	t.plan = parallel.Plan{}
-	t.byDesc = false
-	t.durIdx = nil // graph slab: do not pin the graph through the pool
+	t.idx = nil // graph slab: do not pin the graph through the pool
 	tablePool.Put(t)
 }
 
@@ -184,8 +176,8 @@ func (d *durDesc) operatorFor(g *Graph, plan parallel.Plan) profiler.Operator {
 }
 
 // Bind resolves the graph's duration descriptors against the profiler and
-// the communication model for one concrete plan, producing the per-task
-// DurationTable that Replay combines with the shared structure.
+// the communication model for one concrete plan, producing the
+// DurationTable replay combines with the shared structure.
 //
 // Binding never mutates the graph, so many goroutines may bind one shared
 // structural graph concurrently — the property shape-keyed caching relies
@@ -197,18 +189,18 @@ func (d *durDesc) operatorFor(g *Graph, plan parallel.Plan) profiler.Operator {
 // would present to a stateful CommTimer.
 //
 // On a hand-built graph (no descriptors) Bind copies the tasks' eager
-// durations, so Replay behaves identically to Simulate.
+// durations and FLOPs; prof, cm, plan, and c are unused.
 func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, c hw.Cluster) *DurationTable {
 	n := g.NumTasks()
-	tbl := tableFor(n)
+	tbl := tablePool.Get().(*DurationTable)
 	tbl.prof = prof
 	tbl.plan = plan
 	if g.descs == nil {
-		tbl.fitTasks(n)
+		vals := tbl.fit(n)
 		for i := range g.Tasks {
-			tbl.dur[i] = g.Tasks[i].Duration
-			tbl.flops[i] = g.Tasks[i].FLOPs
+			vals[i] = descVal{g.Tasks[i].Duration, g.Tasks[i].FLOPs}
 		}
+		tbl.idx = identityIndex(n)
 		return tbl
 	}
 
@@ -218,18 +210,33 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 	gpn := c.Node.GPUsPerNode
 	stride := plan.Tensor * plan.Data
 	actBytes := 2 * float64(plan.MicroBatch) * float64(g.Model.SeqLen) * float64(g.Model.Hidden)
+	commDur := func(d *durDesc) float64 {
+		switch d.kind {
+		case descAllReduceTP:
+			n, intra := allReduceTPArgs(plan, gpn)
+			return cm.AllReduce(actBytes, n, intra)
+		case descAllReduceDP:
+			bucketParams := d.stageParams / uint64(plan.Tensor) / uint64(d.buckets)
+			n, intra := allReduceDPArgs(plan, gpn)
+			return cm.AllReduce(2*float64(bucketParams), n, intra)
+		default: // descP2P
+			same := (int(d.from)*stride)/gpn == (int(d.to)*stride)/gpn
+			return cm.SendRecv(actBytes, same)
+		}
+	}
 
 	// Price the pure compute descriptors once each. A stateless timer
 	// additionally lets communication descriptors be priced here — once per
 	// distinct descriptor instead of once per task; a stateful timer keeps
-	// the per-task call sequence (see CommTimer).
+	// the per-task call sequence (see CommTimer), writing n per-task entries
+	// in front of the descriptor prices they copy compute values from.
 	_, stateless := cm.(StatelessCommTimer)
-	if cap(tbl.vals) < len(g.descs) {
-		tbl.vals = make([]descVal, len(g.descs))
+	off := n
+	if stateless {
+		off = 0
 	}
-	vals := tbl.vals[:len(g.descs)]
-	clear(vals) // pooled reuse may carry stale entries
-	tbl.vals = vals
+	buf := tbl.fit(off + len(g.descs))
+	vals := buf[off:] // a stateful timer leaves comm entries unwritten and unread
 	for i := range g.descs {
 		d := &g.descs[i]
 		switch d.kind {
@@ -243,60 +250,29 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 		case descKernel:
 			k := prof.Profile(d.operatorFor(g, plan))[d.kernel]
 			vals[i] = descVal{k.Duration, k.Kernel.FLOPs}
-		case descAllReduceTP:
+		default:
 			if stateless {
-				n, intra := allReduceTPArgs(plan, gpn)
-				vals[i] = descVal{dur: cm.AllReduce(actBytes, n, intra)}
-			}
-		case descAllReduceDP:
-			if stateless {
-				bucketParams := d.stageParams / uint64(plan.Tensor) / uint64(d.buckets)
-				n, intra := allReduceDPArgs(plan, gpn)
-				vals[i] = descVal{dur: cm.AllReduce(2*float64(bucketParams), n, intra)}
-			}
-		case descP2P:
-			if stateless {
-				same := (int(d.from)*stride)/gpn == (int(d.to)*stride)/gpn
-				vals[i] = descVal{dur: cm.SendRecv(actBytes, same)}
+				vals[i] = descVal{dur: commDur(d)}
 			}
 		}
 	}
 
 	if stateless {
-		// Every descriptor is fully priced: hand replay the per-descriptor
-		// table and the graph's durIdx slab instead of fanning out ~2 eight-
-		// byte writes per task — binding becomes O(#descriptors).
-		tbl.byDesc = true
-		tbl.durIdx = g.durIdx
+		// Every descriptor is fully priced: replay gathers through the
+		// graph's durIdx slab — binding is O(#descriptors).
+		tbl.idx = g.durIdx
 		return tbl
 	}
-
-	// Fan out to tasks, pricing communication per task in ID order — the
-	// call sequence a from-scratch lowering would present to a stateful
-	// CommTimer.
-	tbl.fitTasks(n)
-	for i := 0; i < n; i++ {
-		d := &g.descs[g.durIdx[i]]
-		switch d.kind {
-		case descOperator, descKernel:
-			v := vals[g.durIdx[i]]
-			tbl.dur[i] = v.dur
-			tbl.flops[i] = v.flops
-		case descAllReduceTP:
-			n, intra := allReduceTPArgs(plan, gpn)
-			tbl.dur[i] = cm.AllReduce(actBytes, n, intra)
-			tbl.flops[i] = 0
-		case descAllReduceDP:
-			bucketParams := d.stageParams / uint64(plan.Tensor) / uint64(d.buckets)
-			n, intra := allReduceDPArgs(plan, gpn)
-			tbl.dur[i] = cm.AllReduce(2*float64(bucketParams), n, intra)
-			tbl.flops[i] = 0
-		case descP2P:
-			same := (int(d.from)*stride)/gpn == (int(d.to)*stride)/gpn
-			tbl.dur[i] = cm.SendRecv(actBytes, same)
-			tbl.flops[i] = 0
+	tasks := buf[:n]
+	for i, di := range g.durIdx {
+		if d := &g.descs[di]; d.kind == descOperator || d.kind == descKernel {
+			tasks[i] = vals[di]
+		} else {
+			tasks[i] = descVal{dur: commDur(d)}
 		}
 	}
+	tbl.vals = tasks
+	tbl.idx = identityIndex(n)
 	return tbl
 }
 

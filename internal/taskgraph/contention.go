@@ -359,18 +359,3 @@ func (ct *ContentionTable) contend(st *contState, slot int32, di int32, start, d
 	}
 	return dur
 }
-
-// ReplayContended is Replay under the contention fidelity level: comm tasks
-// sharing fat-tree links with concurrently in-flight comm tasks run slower
-// by the congestion model's derate factors. A nil table reproduces Replay
-// bit for bit.
-func (g *Graph) ReplayContended(tbl *DurationTable, ct *ContentionTable) (Result, error) {
-	res, _, err := g.replay(tbl, ct, false)
-	return res, err
-}
-
-// ReplayTraceContended is ReplayContended plus the full execution timeline;
-// span durations reflect the derated comm tasks.
-func (g *Graph) ReplayTraceContended(tbl *DurationTable, ct *ContentionTable) (Result, []Span, error) {
-	return g.replay(tbl, ct, true)
-}

@@ -7,17 +7,16 @@ import (
 	"testing"
 
 	"vtrain/internal/comm"
-	"vtrain/internal/gpu"
 	"vtrain/internal/hw"
 	"vtrain/internal/parallel"
-	"vtrain/internal/profiler"
 )
 
 // TestReplayContendedNilMatchesReplay pins the equivalence lock of the
-// contention fidelity level: with a nil ContentionTable, every contended
-// entry point — sequential, trace, and batch — performs bit-identical float
-// operations to its ideal twin, so the contention-off path is exactly the
-// pre-knob simulator.
+// contention fidelity level and of the two replay bodies: with no
+// contention table — a nil ct, a nil cts slice, or a slice of nils — the
+// width-1 body (single and traced replays) and the lane loop (batches of
+// width > 1) perform bit-identical float operations, so the contention-off
+// path is exactly the ideal simulator at every width.
 func TestReplayContendedNilMatchesReplay(t *testing.T) {
 	plans := []parallel.Plan{
 		{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
@@ -26,55 +25,36 @@ func TestReplayContendedNilMatchesReplay(t *testing.T) {
 	}
 	g, tables := batchFixture(t, plans)
 
+	want := make([]Result, len(tables))
 	for i, tbl := range tables {
-		want, err := g.Replay(tbl)
+		res, err := g.ReplayContended(tbl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := g.ReplayContended(tbl, nil)
+		want[i] = res
+		traced, spans, err := g.ReplayTraceContended(tbl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, i, got, want)
-
-		wantRes, wantSpans, err := g.ReplayTrace(tbl)
+		requireIdentical(t, i, traced, res)
+		if len(spans) != res.Executed {
+			t.Fatalf("table %d: %d spans for %d executed tasks", i, len(spans), res.Executed)
+		}
+		one, err := g.ReplayBatchContended(tables[i:i+1], []*ContentionTable{nil})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, gotSpans, err := g.ReplayTraceContended(tbl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, i, gotRes, wantRes)
-		if len(gotSpans) != len(wantSpans) {
-			t.Fatalf("table %d: %d contended spans != %d ideal", i, len(gotSpans), len(wantSpans))
-		}
-		for s := range wantSpans {
-			if gotSpans[s] != wantSpans[s] {
-				t.Fatalf("table %d span %d: %+v != %+v", i, s, gotSpans[s], wantSpans[s])
-			}
-		}
+		requireIdentical(t, i, one[0], res)
 	}
 
-	want, err := g.ReplayBatch(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.ReplayBatchContended(tables, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := range want {
-		requireIdentical(t, lane, got[lane], want[lane])
-	}
-	// A non-nil cts slice whose entries are all nil is the same contract
-	// per lane.
-	got, err = g.ReplayBatchContended(tables, make([]*ContentionTable, len(tables)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := range want {
-		requireIdentical(t, lane, got[lane], want[lane])
+	for _, cts := range [][]*ContentionTable{nil, make([]*ContentionTable, len(tables))} {
+		got, err := g.ReplayBatchContended(tables, cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lane := range want {
+			requireIdentical(t, lane, got[lane], want[lane])
+		}
 	}
 	if _, err := g.ReplayBatchContended(tables, make([]*ContentionTable, 1)); err == nil {
 		t.Fatal("mismatched cts length: expected an error")
@@ -394,7 +374,7 @@ func TestContentionMonotone(t *testing.T) {
 	// iteration time never shrinks.
 	plan = parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
 	bg := lower(t, plan, OperatorLevel)
-	ideal, idealSpans, err := bg.g.ReplayTrace(bg.tbl)
+	ideal, idealSpans, err := bg.g.ReplayTraceContended(bg.tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,54 +469,4 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 				tc.plan.Tensor, tc.plan.Data, tc.gpnVal, tc.dp, n, intra, tc.wantN, tc.wantIntra)
 		}
 	}
-}
-
-// noMarkerTimer wraps comm.Calibrated while hiding its StatelessComm
-// marker, reproducing the pre-fix binding behavior: without the marker,
-// Bind prices every communication task individually in task-ID order.
-type noMarkerTimer struct{ c comm.Calibrated }
-
-func (w noMarkerTimer) AllReduce(bytes float64, n int, intraNode bool) float64 {
-	return w.c.AllReduce(bytes, n, intraNode)
-}
-func (w noMarkerTimer) SendRecv(bytes float64, sameNode bool) float64 {
-	return w.c.SendRecv(bytes, sameNode)
-}
-
-// TestCalibratedStatelessEquivalence pins the comm.Calibrated marker fix:
-// the calibrated timer is a pure function of its fixed correction factors,
-// so descriptor-granularity binding (the marker path) must price every task
-// exactly like the per-task fallback — and therefore replay identically.
-func TestCalibratedStatelessEquivalence(t *testing.T) {
-	c := hw.PaperCluster(8)
-	plan := parallel.Plan{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
-	bg := lower(t, plan, OperatorLevel)
-	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	cal := comm.DefaultCalibration(comm.NewModel(c), plan.Tensor)
-
-	fast := bg.g.Bind(prof, cal, plan, c)
-	defer fast.Release()
-	slow := bg.g.Bind(prof, noMarkerTimer{c: cal}, plan, c)
-	defer slow.Release()
-
-	if !fast.byDesc {
-		t.Fatal("Calibrated must bind at descriptor granularity (StatelessComm marker missing?)")
-	}
-	if slow.byDesc {
-		t.Fatal("the marker-less wrapper must take the per-task fallback")
-	}
-	for id := 0; id < bg.g.NumTasks(); id++ {
-		if fast.Duration(id) != slow.Duration(id) {
-			t.Fatalf("task %d: descriptor binding %v != per-task binding %v", id, fast.Duration(id), slow.Duration(id))
-		}
-	}
-	a, err := bg.g.Replay(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bg.g.Replay(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, 0, a, b)
 }

@@ -118,11 +118,11 @@ func TestStructureHardwareInvariance(t *testing.T) {
 		// And cross-binding onto the *other* cluster's structure must be
 		// exact: replaying gA under cluster B's table equals replaying gB
 		// under it, since the structures are interchangeable.
-		resAB, err := gA.Replay(tblB)
+		resAB, err := gA.ReplayContended(tblB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resBB, err := gB.Replay(tblB)
+		resBB, err := gB.ReplayContended(tblB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,43 +62,56 @@ func TestOperatorLowerFastPathMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestBindStatelessMatchesStateful pins the stateless descriptor-level
-// communication pricing to the per-task path: a stateless timer hidden
-// behind a plain CommTimer wrapper (forcing the per-task path) must produce
-// bit-identical tables.
+// stripMarker hides a stateless timer's StatelessComm marker, forcing Bind
+// onto the per-task pricing path a stateful timer takes.
+type stripMarker struct{ CommTimer }
+
+// TestBindStatelessMatchesStateful pins descriptor-granularity
+// communication pricing to the per-task path: each stateless timer, and the
+// same timer behind stripMarker, must bind bit-identical (duration, FLOPs)
+// per task and replay to bit-identical results, at both fidelities.
+// comm.Calibrated is a pure function of its fixed correction factors;
+// before it carried the marker, binding silently priced its collectives
+// once per task (the validate.RunCalibrated path).
 func TestBindStatelessMatchesStateful(t *testing.T) {
 	c := hw.PaperCluster(8)
-	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
-	og, err := opgraph.Build(tinyModel(), plan, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Lower(og, prof, OperatorLevel)
-
+	plan := parallel.Plan{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
 	cm := comm.NewModel(c)
-	if _, ok := CommTimer(cm).(StatelessCommTimer); !ok {
-		t.Fatal("comm model should be stateless")
+	for _, tc := range []struct {
+		name  string
+		timer StatelessCommTimer
+	}{
+		{"model", cm},
+		{"calibrated", comm.DefaultCalibration(cm, plan.Tensor)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, fid := range []Fidelity{OperatorLevel, TaskLevel} {
+				g, prof := lowerOn(t, tinyModel(), plan, c, fid)
+				fast := g.Bind(prof, tc.timer, plan, c)
+				defer fast.Release()
+				slow := g.Bind(prof, stripMarker{tc.timer}, plan, c)
+				defer slow.Release()
+				if len(fast.vals) != len(g.descs) {
+					t.Fatalf("fidelity %d: stateless bind priced %d entries, want one per descriptor (%d)", fid, len(fast.vals), len(g.descs))
+				}
+				if len(slow.vals) != g.NumTasks() {
+					t.Fatalf("fidelity %d: marker-less bind priced %d entries, want one per task (%d)", fid, len(slow.vals), g.NumTasks())
+				}
+				for id := 0; id < g.NumTasks(); id++ {
+					if f, s := fast.vals[fast.idx[id]], slow.vals[slow.idx[id]]; f != s {
+						t.Fatalf("fidelity %d task %d: stateless bind %+v != per-task bind %+v", fid, id, f, s)
+					}
+				}
+				a, err := g.ReplayContended(fast, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := g.ReplayContended(slow, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, 0, a, b)
+			}
+		})
 	}
-	fast := g.Bind(prof, cm, plan, c)
-	slow := g.Bind(prof, hideStateless{cm}, plan, c)
-	for i := 0; i < g.NumTasks(); i++ {
-		fd, ff := fast.taskValues(i)
-		sd, sf := slow.taskValues(i)
-		if fd != sd || ff != sf {
-			t.Fatalf("task %d: stateless bind (%g, %g) != per-task bind (%g, %g)",
-				i, fd, ff, sd, sf)
-		}
-	}
-}
-
-// hideStateless strips the StatelessComm marker from a timer, forcing Bind
-// onto the per-task communication path.
-type hideStateless struct{ cm StatelessCommTimer }
-
-func (h hideStateless) AllReduce(bytes float64, n int, intraNode bool) float64 {
-	return h.cm.AllReduce(bytes, n, intraNode)
-}
-func (h hideStateless) SendRecv(bytes float64, sameNode bool) float64 {
-	return h.cm.SendRecv(bytes, sameNode)
 }

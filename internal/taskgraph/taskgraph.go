@@ -23,9 +23,9 @@
 //     structural graph serves every (t, d, micro-batch-size) variant of
 //     that shape.
 //   - Bind resolves each descriptor against the profiler and the
-//     communication model for one concrete plan, producing a DurationTable:
-//     a flat per-task duration (and FLOPs) array that Replay combines with
-//     the shared structure.
+//     communication model for one concrete plan, producing a DurationTable
+//     of priced (duration, FLOPs) entries that replay gathers per task and
+//     combines with the shared structure.
 //
 // A lowered Graph is immutable: all per-replay state (dependency reference
 // counts, earliest-start times, resource timelines) lives in a pooled
@@ -75,7 +75,7 @@ const (
 // Lowered (structural) graphs leave Duration, FLOPs, CommBytes, and Kernel
 // at their zero values: those quantities depend on the concrete plan and
 // are bound per plan into a DurationTable. The fields remain for hand-built
-// graphs, whose eager values Replay falls back to when no table is given.
+// graphs, whose eager values Bind copies into the table.
 type Task struct {
 	// ID indexes Graph.Tasks.
 	ID int
@@ -189,8 +189,8 @@ type Graph struct {
 	labelOf func(source int) string
 }
 
-// Structural reports whether the graph was lowered without durations and
-// therefore needs a Bind-produced DurationTable to replay.
+// Structural reports whether the graph was lowered (duration descriptors,
+// no eager durations) rather than hand-built.
 func (g *Graph) Structural() bool { return g.descs != nil }
 
 // NumTasks returns the number of tasks in the graph. Unlike len(Tasks) it
@@ -256,8 +256,8 @@ func (g *Graph) Labels() *opgraph.LabelTable {
 
 // TaskLabel composes the human-readable trace tag of task id: the source
 // operator's (lazily rendered) label, qualified by the kernel name at task
-// granularity. Labels are formatted only when this is called — plain
-// Simulate replays never pay for them, and a disk-loaded graph does not
+// granularity. Labels are formatted only when this is called — untraced
+// replays never pay for them, and a disk-loaded graph does not
 // even load its label bytes until the first call.
 func (g *Graph) TaskLabel(id int) string {
 	if g.Tasks == nil {
@@ -593,25 +593,4 @@ type Result struct {
 	// ClassSeconds attributes busy time to accounting buckets (operator
 	// kinds and communication kinds), summed across devices.
 	ClassSeconds map[string]float64
-}
-
-// Simulate replays the task graph per Algorithm 1: a FIFO ready queue,
-// per-device timelines (split into compute and communication streams), and
-// dependency reference counts. It is deterministic, does not mutate the
-// graph, and is safe to call concurrently on one Graph.
-//
-// Simulate uses the tasks' eager durations and therefore only works on
-// hand-built graphs; a structural graph (produced by Lower) must be bound
-// to a plan first and replayed with Replay.
-func (g *Graph) Simulate() (Result, error) {
-	res, _, err := g.replay(nil, nil, false)
-	return res, err
-}
-
-// Replay simulates the graph using the per-plan durations bound in tbl.
-// The graph and table are both read-only during replay, so one shared
-// structural graph may be replayed under many tables concurrently.
-func (g *Graph) Replay(tbl *DurationTable) (Result, error) {
-	res, _, err := g.replay(tbl, nil, false)
-	return res, err
 }

@@ -38,9 +38,14 @@ func lower(t *testing.T, plan parallel.Plan, fid Fidelity) boundGraph {
 	return boundGraph{g: g, tbl: g.Bind(prof, comm.NewModel(c), plan, c)}
 }
 
+// bindEager binds a hand-built graph's eager task durations.
+func bindEager(g *Graph) *DurationTable {
+	return g.Bind(nil, nil, parallel.Plan{}, hw.Cluster{})
+}
+
 func simulate(t *testing.T, b boundGraph) Result {
 	t.Helper()
-	res, err := b.g.Replay(b.tbl)
+	res, err := b.g.ReplayContended(b.tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +197,7 @@ func TestSimulationMonotoneInKernelDurations(t *testing.T) {
 	run := func(dev *gpu.Device) (Result, error) {
 		prof := profiler.New(dev)
 		g := Lower(og, prof, OperatorLevel)
-		return g.Replay(g.Bind(prof, cm, plan, c))
+		return g.ReplayContended(g.Bind(prof, cm, plan, c), nil)
 	}
 	f := func(slowdown8 uint8) bool {
 		slow := 1 + float64(slowdown8)/64
@@ -223,14 +228,15 @@ func TestZeroTaskGraphErrors(t *testing.T) {
 	// an all-zero Result, which core then dressed up as a plausible
 	// all-zero Report. It must be an explicit error on every replay path.
 	g := NewBuilder(1).Build()
-	if _, err := g.Simulate(); err == nil {
-		t.Fatal("Simulate on a zero-task graph must error")
+	tbl := bindEager(g)
+	if _, err := g.ReplayContended(tbl, nil); err == nil {
+		t.Fatal("ReplayContended on a zero-task graph must error")
 	}
-	if _, _, err := g.SimulateTrace(); err == nil {
-		t.Fatal("SimulateTrace on a zero-task graph must error")
+	if _, _, err := g.ReplayTraceContended(tbl, nil); err == nil {
+		t.Fatal("ReplayTraceContended on a zero-task graph must error")
 	}
-	if _, err := g.Replay(nil); err == nil {
-		t.Fatal("Replay on a zero-task graph must error")
+	if _, err := g.ReplayBatchContended([]*DurationTable{tbl}, nil); err == nil {
+		t.Fatal("ReplayBatchContended on a zero-task graph must error")
 	}
 }
 
@@ -243,15 +249,12 @@ func TestStructuralGraphRequiresBinding(t *testing.T) {
 	if !b.g.Structural() {
 		t.Fatal("Lower produced a non-structural graph")
 	}
-	if _, err := b.g.Simulate(); err == nil {
-		t.Fatal("Simulate on an unbound structural graph must error")
-	}
-	if _, err := b.g.Replay(nil); err == nil {
-		t.Fatal("Replay(nil) on a structural graph must error")
+	if _, err := b.g.ReplayContended(nil, nil); err == nil {
+		t.Fatal("ReplayContended(nil, nil) on a structural graph must error")
 	}
 	other := lower(t, parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2}, OperatorLevel)
-	if _, err := b.g.Replay(other.tbl); err == nil {
-		t.Fatal("Replay with a mismatched table must error")
+	if _, err := b.g.ReplayContended(other.tbl, nil); err == nil {
+		t.Fatal("ReplayContended with a mismatched table must error")
 	}
 }
 
@@ -270,11 +273,11 @@ func TestBindSharedGraphAcrossPlans(t *testing.T) {
 	g := Lower(og, prof, OperatorLevel)
 	cm := comm.NewModel(c)
 
-	rBase, err := g.Replay(g.Bind(prof, cm, base, c))
+	rBase, err := g.ReplayContended(g.Bind(prof, cm, base, c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWide, err := g.Replay(g.Bind(prof, cm, wide, c))
+	rWide, err := g.ReplayContended(g.Bind(prof, cm, wide, c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +286,7 @@ func TestBindSharedGraphAcrossPlans(t *testing.T) {
 	}
 	// Rebinding the first plan reproduces its result exactly: nothing about
 	// the wide binding leaked into the shared structure.
-	rAgain, err := g.Replay(g.Bind(prof, cm, base, c))
+	rAgain, err := g.ReplayContended(g.Bind(prof, cm, base, c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +302,8 @@ func TestDeadlockDetection(t *testing.T) {
 	y := b.AddTask(Task{Duration: 1})
 	b.AddEdge(x, y)
 	b.AddEdge(y, x)
-	if _, err := b.Build().Simulate(); err == nil {
+	g := b.Build()
+	if _, err := g.ReplayContended(bindEager(g), nil); err == nil {
 		t.Fatal("cycle must produce a deadlock error")
 	}
 }
@@ -318,7 +322,7 @@ func TestBuilderAdjacency(t *testing.T) {
 	if len(g.Children(c)) != 0 {
 		t.Fatal("leaf has children")
 	}
-	res, err := g.Simulate()
+	res, err := g.ReplayContended(bindEager(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +347,7 @@ func TestConcurrentReplaysAgree(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = g.g.Replay(g.tbl)
+			results[i], errs[i] = g.g.ReplayContended(g.tbl, nil)
 		}(i)
 	}
 	wg.Wait()

@@ -17,21 +17,6 @@ type Span struct {
 	Label string
 }
 
-// SimulateTrace replays the graph like Simulate and additionally returns
-// the full execution timeline, suitable for Chrome-trace export. Like
-// Simulate it works only on hand-built graphs; structural graphs use
-// ReplayTrace with a bound DurationTable.
-func (g *Graph) SimulateTrace() (Result, []Span, error) {
-	return g.replay(nil, nil, true)
-}
-
-// ReplayTrace is Replay plus the full execution timeline. Span labels
-// resolve through the table's binding, so kernel names reflect the bound
-// plan's tensor shapes exactly as a from-scratch lowering would.
-func (g *Graph) ReplayTrace(tbl *DurationTable) (Result, []Span, error) {
-	return g.replay(tbl, nil, true)
-}
-
 // chromeEvent is one Chrome trace-event-format record ("X" complete event).
 type chromeEvent struct {
 	Name     string  `json:"name"`

@@ -40,7 +40,7 @@ func TestContendedTraceGolden(t *testing.T) {
 		t.Fatal("BindContention returned nil for a descriptor graph")
 	}
 
-	ideal, idealSpans, err := g.ReplayTrace(tbl)
+	ideal, idealSpans, err := g.ReplayTraceContended(tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

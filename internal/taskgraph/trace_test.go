@@ -13,7 +13,7 @@ func traceGraph(t *testing.T) (boundGraph, Result, []Span) {
 	t.Helper()
 	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
 	g := lower(t, plan, TaskLevel)
-	res, spans, err := g.g.ReplayTrace(g.tbl)
+	res, spans, err := g.g.ReplayTraceContended(g.tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func traceGraph(t *testing.T) (boundGraph, Result, []Span) {
 
 func TestSimulateTraceMatchesSimulate(t *testing.T) {
 	g, res, spans := traceGraph(t)
-	plain, err := g.g.Replay(g.tbl)
+	plain, err := g.g.ReplayContended(g.tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

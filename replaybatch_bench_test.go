@@ -48,7 +48,7 @@ func BenchmarkReplayBatch(b *testing.B) {
 			batch := tables[:width]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.ReplayBatch(batch); err != nil {
+				if _, err := g.ReplayBatchContended(batch, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
