@@ -4,8 +4,8 @@
 // training projection for 300B tokens.
 //
 // Under the hood, core.Simulator runs the full pipeline per simulation:
-// opgraph.Build assembles the immutable operator graph (arena nodes, lazy
-// labels), taskgraph.Lower expands it through the profiler's
+// opgraph.Build assembles the immutable operator graph (columnar nodes,
+// lazy labels), taskgraph.Lower expands it through the profiler's
 // operator-to-task table into an immutable task graph via
 // taskgraph.Builder, and the Algorithm 1 replay engine walks that graph
 // with pooled scratch state. Results are memoized per (model, plan,

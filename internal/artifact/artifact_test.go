@@ -112,6 +112,49 @@ func assertGraphEquivalent(t *testing.T, st *Store, key string, got, want *taskg
 	}
 }
 
+// TestSaveGraphWritesLazyLabels: a freshly lowered graph carries no
+// resident label table (Lower defers it until a label is rendered), yet
+// SaveGraph must still write the companion label file, and LoadLabels must
+// return exactly the graph's labels — which are the source build's.
+func TestSaveGraphWritesLazyLabels(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := hw.PaperCluster(8)
+	m := model.Config{Name: "tiny", Hidden: 256, Layers: 4, SeqLen: 128, Heads: 4, Vocab: 1024}
+	plan := parallel.Plan{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8,
+		GradientBuckets: 2, VirtualStages: 2}
+	og, err := opgraph.Build(m, plan, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := og.LabelTable()
+	g := taskgraph.Lower(og, profiler.New(gpu.NewDevice(c.Node.GPU)), taskgraph.OperatorLevel)
+	og.Recycle()
+
+	key := Key("lazy-labels")
+	if !st.SaveGraph(key, g) {
+		t.Fatal("SaveGraph failed")
+	}
+	if _, err := os.Stat(filepath.Join(st.dir, labelsFile(key))); err != nil {
+		t.Fatalf("label artifact not written: %v", err)
+	}
+	if w := st.Stats().Writes; w != 2 {
+		t.Fatalf("SaveGraph counted %d writes, want 2 (graph + labels)", w)
+	}
+	lt, ok := st.LoadLabels(key)
+	if !ok {
+		t.Fatal("LoadLabels failed")
+	}
+	if !reflect.DeepEqual(lt, g.Labels()) {
+		t.Fatal("loaded label table differs from the graph's Labels()")
+	}
+	if !reflect.DeepEqual(lt, want) {
+		t.Fatal("loaded label table differs from the source build's")
+	}
+}
+
 func TestGraphRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

@@ -32,11 +32,11 @@ import (
 // internally synchronized, and the graphs built per simulation are
 // immutable.
 type Simulator struct {
-	cluster    hw.Cluster
-	device     *gpu.Device
-	profiler   *profiler.Profiler
-	comm       taskgraph.CommTimer
-	fidelity   taskgraph.Fidelity
+	cluster  hw.Cluster
+	device   *gpu.Device
+	profiler *profiler.Profiler
+	comm     taskgraph.CommTimer
+	fidelity taskgraph.Fidelity
 	// contention enables the topology-aware congestion fidelity level:
 	// replays derate communication tasks that share fat-tree links with
 	// concurrently in-flight ones (see taskgraph.BindContention). Off by
@@ -467,18 +467,16 @@ func (s *Simulator) buildStructural(m model.Config, plan parallel.Plan) (*taskgr
 	if g, ok := s.artifacts.LoadGraph(key); ok {
 		// The structure artifact carries no labels (sweeps never render
 		// one); traces fetch them lazily from the companion label file. A
-		// missing, corrupt, or short label artifact falls back to a full
-		// re-lowering — slow, but correct, and only ever paid by a trace
-		// whose label file was damaged after the graph file was written.
+		// missing, corrupt, or short label artifact falls back to
+		// rebuilding the operator graph's labels — slower, but correct,
+		// and only ever paid by a trace whose label file was damaged after
+		// the graph file was written.
 		g.SetLabelSource(func() *opgraph.LabelTable {
 			if t, ok := s.artifacts.LoadLabels(key); ok && t.Len() >= g.LabelCount() {
 				return t
 			}
-			fresh, err := s.lower(m, plan)
-			if err != nil {
-				return nil
-			}
-			return fresh.Labels()
+			t, _ := opgraph.BuildLabels(m, plan, s.cluster)
+			return t
 		})
 		return g, nil
 	}
@@ -504,8 +502,8 @@ func (s *Simulator) lower(m model.Config, plan parallel.Plan) (*taskgraph.Graph,
 		return nil, err
 	}
 	tg := taskgraph.Lower(og, s.profiler, s.fidelity)
-	// Lower copies everything the task graph needs (structure, label
-	// records), so the operator graph goes straight back to the
+	// Lower copies the structure the task graph needs (its labels are
+	// rebuilt on demand), so the operator graph goes straight back to the
 	// construction pool.
 	og.Recycle()
 	if s.lowerings != nil {

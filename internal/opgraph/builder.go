@@ -7,28 +7,22 @@ import (
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
-	"vtrain/internal/profiler"
 )
 
-// builder accumulates nodes into the graph's arena through a small
-// append-only API (add/edge) and finalizes the recorded edge pairs into the
-// graph's CSR slices. All cross-references during construction are node
-// indices, never pointers; -1 means "absent".
+// builder appends nodes to the graph's columns through a small API
+// (add/edge). Every edge targets the node just added, so the dependency CSR
+// grows in place, in order. All cross-references during construction are
+// node indices, never pointers; -1 means "absent".
 //
 // Builders (and, via Graph.Recycle, graph storage) are pooled: a sweep
-// building thousands of graphs back to back reuses the same edge list,
-// schedule buffers, and arena slabs instead of reallocating them per plan.
+// building thousands of graphs back to back reuses the same columns,
+// schedule buffers, and CSR slices instead of reallocating them per plan.
 type builder struct {
 	g    *Graph
 	m    model.Config
 	plan parallel.Plan
-	c    hw.Cluster
 	nmb  int
 	v    int // virtual stages per device (1 = no interleaving)
-
-	// edges records (from, to) dependency pairs — "to depends on from" —
-	// in emission order; finalize turns them into CSR form.
-	edges [][2]int32
 
 	// fwdOut / bwdOut hold the terminal node of each emitted
 	// (virtual stage, micro) pass — the producers cross-stage P2P
@@ -41,13 +35,11 @@ type builder struct {
 	// (gradient-bucket All-Reduce dependencies); -1 until emitted.
 	lastBwdOfLayer []int32
 
-	// Pooled construction scratch: the per-stage previous-slot cursor, the
-	// pending schedule lists and their backing slot storage (build), and
-	// the CSR fill cursor (finalize).
+	// Pooled construction scratch: the per-stage previous-slot cursor and
+	// the pending schedule lists with their backing slot storage (build).
 	prevSlotEnd []int32
 	pend        []pending
 	slotBuf     []slot
-	cursor      []int32
 }
 
 // pending tracks how far a stage's schedule has been emitted.
@@ -58,29 +50,37 @@ type pending struct {
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
-// graphPool recycles graph storage (arena slabs, CSR slices) between
+// graphPool recycles graph storage (node columns, CSR slices) between
 // Recycle and the next Build.
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
-func newBuilder(m model.Config, plan parallel.Plan, c hw.Cluster, nmb int) *builder {
+// newBuilder readies b to build (m, plan, c) into g, reusing the capacity
+// both already hold: Build passes pooled values, tests fresh ones.
+func newBuilder(b *builder, g *Graph, m model.Config, plan parallel.Plan, c hw.Cluster) *builder {
+	nmb := plan.MicroBatches()
 	v := plan.VirtualStages
 	if v < 1 {
 		v = 1
 	}
-	g := graphPool.Get().(*Graph)
+	cols := &g.cols
 	*g = Graph{
-		arena:    nodeArena{slabs: g.arena.slabs},
-		depStart: g.depStart,
-		deps:     g.deps,
-		Stages:   plan.Pipeline,
-		Plan:     plan,
-		Model:    m,
+		cols: LabelTable{
+			Kinds: cols.Kinds[:0],
+			Stage: cols.Stage[:0], Micro: cols.Micro[:0], Chunk: cols.Chunk[:0],
+			Layer: cols.Layer[:0], LayerEnd: cols.LayerEnd[:0], Bucket: cols.Bucket[:0],
+		},
+		depStart:    g.depStart[:0],
+		deps:        g.deps[:0],
+		stageParams: fitRaw(g.stageParams, plan.Pipeline),
+		buckets:     fitRaw(g.buckets, plan.Pipeline),
+		Stages:      plan.Pipeline,
+		Model:       m,
+		Plan:        plan,
+		Cluster:     c,
 	}
-	b := builderPool.Get().(*builder)
 	b.g = g
-	b.m, b.plan, b.c = m, plan, c
+	b.m, b.plan = m, plan
 	b.nmb, b.v = nmb, v
-	b.edges = b.edges[:0]
 	b.fwdOut = fitRaw(b.fwdOut, plan.Pipeline*v*nmb)
 	b.bwdOut = fitRaw(b.bwdOut, plan.Pipeline*v*nmb)
 	b.lastBwdOfLayer = fitRaw(b.lastBwdOfLayer, plan.Pipeline*m.Layers)
@@ -108,51 +108,41 @@ func fill(s []int32, v int32) {
 // reuse pooled capacity when adequate, drop it when more than 4x oversized
 // so one huge build cannot pin worst-case storage forever. The caller fully
 // overwrites the slice before reading it.
-func fitRaw[T int32 | slot](s []T, n int) []T {
+func fitRaw[T int32 | uint64 | slot](s []T, n int) []T {
 	if c := cap(s); c < n || c > 4*n {
 		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// add places a node in the arena, assigning and returning its ID.
-func (b *builder) add(n Node) int32 {
-	nd, id := b.g.arena.alloc()
-	*nd = n
-	nd.ID = id
+// add appends a node with the given role and label coordinates, opening
+// its (empty) dependency run, and returns its ID.
+func (b *builder) add(lk labelKind, stage, chunk, micro, layer int) int32 {
+	g := b.g
+	c := &g.cols
+	id := int32(len(c.Kinds))
+	c.Kinds = append(c.Kinds, uint8(lk))
+	c.Stage = append(c.Stage, int32(stage))
+	c.Micro = append(c.Micro, int32(micro))
+	c.Chunk = append(c.Chunk, int32(chunk))
+	c.Layer = append(c.Layer, int32(layer))
+	c.LayerEnd = append(c.LayerEnd, 0)
+	c.Bucket = append(c.Bucket, 0)
+	g.depStart = append(g.depStart, int32(len(g.deps)))
 	return id
 }
 
 // edge records that node to depends on node from; from < 0 is "no edge".
+// to must be the node just added: that is what lets the dependency CSR be
+// appended in place, in per-node emission order.
 func (b *builder) edge(from, to int32) {
-	if from >= 0 {
-		b.edges = append(b.edges, [2]int32{from, to})
+	if from < 0 {
+		return
 	}
-}
-
-// finalize builds the graph's CSR dependency slices from the recorded edge
-// pairs in two passes: count per-node degrees, then fill. Per-node
-// dependency order equals edge-recording order.
-func (b *builder) finalize() {
-	g := b.g
-	n := g.arena.n
-	g.depStart = fitRaw(g.depStart, n+1)
-	clear(g.depStart)
-	for _, e := range b.edges {
-		g.depStart[e[1]+1]++
+	if last := int32(len(b.g.depStart) - 1); to != last {
+		panic(fmt.Sprintf("opgraph: edge %d -> %d does not target the last added node %d", from, to, last))
 	}
-	for i := 0; i < n; i++ {
-		g.depStart[i+1] += g.depStart[i]
-	}
-	g.deps = fitRaw(g.deps, len(b.edges))
-	cursor := fitRaw(b.cursor, n)
-	b.cursor = cursor
-	copy(cursor, g.depStart[:n])
-	for _, e := range b.edges {
-		g.deps[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
-	}
-	b.edges = b.edges[:0]
+	b.g.deps = append(b.g.deps, from)
 }
 
 // out indexes fwdOut/bwdOut by (stage, chunk, micro).
@@ -170,29 +160,6 @@ func (b *builder) virtualCoords(s int) (stage, chunk int) {
 
 // lastVirtual is the id of the final virtual stage.
 func (b *builder) lastVirtual() int { return b.plan.Pipeline*b.v - 1 }
-
-// activationBytes is the FP16 activation tensor crossing block and stage
-// boundaries: micro-batch x sequence x hidden.
-func (b *builder) activationBytes() float64 {
-	return 2 * float64(b.plan.MicroBatch) * float64(b.m.SeqLen) * float64(b.m.Hidden)
-}
-
-// tpIntraNode reports whether the tensor-parallel group fits on NVLink.
-func (b *builder) tpIntraNode() bool { return b.plan.Tensor <= b.c.Node.GPUsPerNode }
-
-// dpIntraNode reports whether a data-parallel group fits inside one node
-// (group stride t, size d, contiguous placement).
-func (b *builder) dpIntraNode() bool {
-	return b.plan.Tensor*b.plan.Data <= b.c.Node.GPUsPerNode
-}
-
-// devicesSameNode reports whether two pipeline devices share a server node
-// for the representative (tensor 0, data 0) replica.
-func (b *builder) devicesSameNode(a, bdev int) bool {
-	stride := b.plan.Tensor * b.plan.Data
-	gpn := b.c.Node.GPUsPerNode
-	return (a*stride)/gpn == (bdev*stride)/gpn
-}
 
 // chunkRange returns the global index of the first decoder layer of
 // (stage, chunk) and the number of layers it holds.
@@ -270,6 +237,8 @@ func (b *builder) build() {
 	}
 
 	b.emitGradientSync(prevSlotEnd)
+	// Close the dependency CSR: the run of the last node ends here.
+	b.g.depStart = append(b.g.depStart, int32(len(b.g.deps)))
 }
 
 // emitSlot builds the operator chain of one forward or backward slot and
@@ -287,50 +256,21 @@ func (b *builder) tpAllReduce(stage, chunk, micro, layer int, tail int32, lk lab
 	if b.plan.Tensor <= 1 {
 		return tail
 	}
-	id := b.add(Node{
-		Kind:      AllReduceTP,
-		Stage:     int32(stage),
-		Micro:     int32(micro),
-		Chunk:     int32(chunk),
-		Layer:     int32(layer),
-		Bytes:     b.activationBytes(),
-		Group:     int32(b.plan.Tensor),
-		IntraNode: b.tpIntraNode(),
-		label:     lk,
-	})
+	return b.chain(stage, chunk, micro, layer, tail, lk)
+}
+
+// chain appends the node with role lk after tail and returns its index.
+func (b *builder) chain(stage, chunk, micro, layer int, tail int32, lk labelKind) int32 {
+	id := b.add(lk, stage, chunk, micro, layer)
 	b.edge(tail, id)
 	return id
 }
 
-// compute chains a computation operator after tail and returns its index.
-func (b *builder) compute(stage, chunk, micro, layer int, kind profiler.OpKind, tail int32, lk labelKind) int32 {
-	id := b.add(Node{
-		Kind:  Compute,
-		Stage: int32(stage),
-		Micro: int32(micro),
-		Chunk: int32(chunk),
-		Layer: int32(layer),
-		Op:    kind,
-		label: lk,
-	})
-	b.edge(tail, id)
-	return id
-}
-
-// recv emits the P2P vertex receiving an activation (or gradient) produced
-// by device from, sequenced after prev on the receiving device.
-func (b *builder) recv(stage, chunk, micro, from int, producer, prev int32, lk labelKind) int32 {
-	id := b.add(Node{
-		Kind:      P2P,
-		Stage:     int32(stage),
-		Micro:     int32(micro),
-		Chunk:     int32(chunk),
-		FromStage: int32(from),
-		Bytes:     b.activationBytes(),
-		Group:     2,
-		IntraNode: b.devicesSameNode(from, stage),
-		label:     lk,
-	})
+// recv emits the P2P vertex receiving an activation (or gradient) from the
+// producer node on the neighbouring virtual stage, sequenced after prev on
+// the receiving device.
+func (b *builder) recv(stage, chunk, micro int, producer, prev int32, lk labelKind) int32 {
+	id := b.add(lk, stage, chunk, micro, 0)
 	b.edge(producer, id)
 	b.edge(prev, id) // a stage cannot consume a future slot early
 	return id
@@ -340,21 +280,21 @@ func (b *builder) emitForward(stage, chunk, micro int, prev int32) int32 {
 	vs := b.virtualStage(stage, chunk)
 	tail := prev
 	if vs == 0 {
-		tail = b.compute(stage, chunk, micro, 0, profiler.FwdEmbedding, tail, lbFwdEmbedding)
+		tail = b.chain(stage, chunk, micro, 0, tail, lbFwdEmbedding)
 	} else {
 		ps, pc := b.virtualCoords(vs - 1)
-		tail = b.recv(stage, chunk, micro, ps, b.fwdOut[b.out(ps, pc, micro)], prev, lbRecvFwd)
+		tail = b.recv(stage, chunk, micro, b.fwdOut[b.out(ps, pc, micro)], prev, lbRecvFwd)
 	}
 	first, layers := b.chunkRange(stage, chunk)
 	for l := 0; l < layers; l++ {
 		gl := first + l
-		tail = b.compute(stage, chunk, micro, gl, profiler.FwdMHA, tail, lbFwdMHA)
+		tail = b.chain(stage, chunk, micro, gl, tail, lbFwdMHA)
 		tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPFwdMHA)
-		tail = b.compute(stage, chunk, micro, gl, profiler.FwdFFN, tail, lbFwdFFN)
+		tail = b.chain(stage, chunk, micro, gl, tail, lbFwdFFN)
 		tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPFwdFFN)
 	}
 	if vs == b.lastVirtual() {
-		tail = b.compute(stage, chunk, micro, 0, profiler.FwdLMHead, tail, lbFwdLMHead)
+		tail = b.chain(stage, chunk, micro, 0, tail, lbFwdLMHead)
 	}
 	b.fwdOut[b.out(stage, chunk, micro)] = tail
 	return tail
@@ -364,10 +304,10 @@ func (b *builder) emitBackward(stage, chunk, micro int, prev int32) int32 {
 	vs := b.virtualStage(stage, chunk)
 	tail := prev
 	if vs == b.lastVirtual() {
-		tail = b.compute(stage, chunk, micro, 0, profiler.BwdLMHead, tail, lbBwdLMHead)
+		tail = b.chain(stage, chunk, micro, 0, tail, lbBwdLMHead)
 	} else {
 		ns, nc := b.virtualCoords(vs + 1)
-		tail = b.recv(stage, chunk, micro, ns, b.bwdOut[b.out(ns, nc, micro)], prev, lbRecvBwd)
+		tail = b.recv(stage, chunk, micro, b.bwdOut[b.out(ns, nc, micro)], prev, lbRecvBwd)
 	}
 	// The backward of (chunk, micro) consumes its forward activations.
 	b.edge(b.fwdOut[b.out(stage, chunk, micro)], tail)
@@ -379,21 +319,21 @@ func (b *builder) emitBackward(stage, chunk, micro int, prev int32) int32 {
 			// forward pass (including its tensor-parallel
 			// All-Reduces) from the checkpointed input before
 			// running its backward.
-			tail = b.compute(stage, chunk, micro, gl, profiler.FwdMHA, tail, lbRecompMHA)
+			tail = b.chain(stage, chunk, micro, gl, tail, lbRecompMHA)
 			tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPRecompMHA)
-			tail = b.compute(stage, chunk, micro, gl, profiler.FwdFFN, tail, lbRecompFFN)
+			tail = b.chain(stage, chunk, micro, gl, tail, lbRecompFFN)
 			tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPRecompFFN)
 		}
-		tail = b.compute(stage, chunk, micro, gl, profiler.BwdFFN, tail, lbBwdFFN)
+		tail = b.chain(stage, chunk, micro, gl, tail, lbBwdFFN)
 		tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPBwdFFN)
-		tail = b.compute(stage, chunk, micro, gl, profiler.BwdMHA, tail, lbBwdMHA)
+		tail = b.chain(stage, chunk, micro, gl, tail, lbBwdMHA)
 		tail = b.tpAllReduce(stage, chunk, micro, gl, tail, lbARTPBwdMHA)
 		if micro == b.nmb-1 {
 			b.lastBwdOfLayer[stage*b.m.Layers+gl] = tail
 		}
 	}
 	if vs == 0 {
-		tail = b.compute(stage, chunk, micro, 0, profiler.BwdEmbedding, tail, lbBwdEmbedding)
+		tail = b.chain(stage, chunk, micro, 0, tail, lbBwdEmbedding)
 	}
 	b.bwdOut[b.out(stage, chunk, micro)] = tail
 	return tail
@@ -425,9 +365,13 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 		if stage == 0 || stage == b.plan.Pipeline-1 {
 			stageParams += uint64(b.m.Vocab) * h // embedding / tied LM head
 		}
-		shardParams := stageParams / uint64(b.plan.Tensor)
+		g := b.g
+		g.stageParams[stage] = stageParams
+		g.buckets[stage] = 0
 
-		var syncs []int32
+		// The stage's bucket All-Reduces take consecutive IDs from first;
+		// the weight update, added right after them, depends on each.
+		first := int32(g.NumNodes())
 		if b.plan.Data > 1 {
 			buckets := b.plan.GradientBuckets
 			if buckets <= 0 {
@@ -440,6 +384,7 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			if buckets > layers {
 				buckets = layers
 			}
+			g.buckets[stage] = int32(buckets)
 			// Partition the stage's layers into contiguous buckets.
 			// Buckets covering later layers become ready earlier in
 			// the backward pass (Fig. 5a) because backward visits
@@ -447,21 +392,9 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			for bk := 0; bk < buckets; bk++ {
 				lo := layerList[bk*layers/buckets]
 				hi := layerList[(bk+1)*layers/buckets-1] + 1
-				bucketParams := shardParams / uint64(buckets)
-				ar := b.add(Node{
-					Kind:        AllReduceDP,
-					Stage:       int32(stage),
-					Micro:       -1,
-					Layer:       int32(lo),
-					LayerEnd:    int32(hi),
-					Bucket:      int32(bk),
-					Buckets:     int32(buckets),
-					StageParams: stageParams,
-					Bytes:       2 * float64(bucketParams), // FP16 gradients
-					Group:       int32(b.plan.Data),
-					IntraNode:   b.dpIntraNode(),
-					label:       lbARDP,
-				})
+				ar := b.add(lbARDP, stage, 0, -1, lo)
+				g.cols.LayerEnd[ar] = int32(hi)
+				g.cols.Bucket[ar] = int32(bk)
 				// Ready when the earliest layer of the bucket has
 				// produced its gradient in the final micro-batch.
 				if n := b.lastBwdOfLayer[stage*b.m.Layers+lo]; n >= 0 {
@@ -469,21 +402,12 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 				} else {
 					b.edge(lastSlotEnd[stage], ar)
 				}
-				syncs = append(syncs, ar)
 			}
 		}
 
-		wu := b.add(Node{
-			Kind:        Compute,
-			Stage:       int32(stage),
-			Micro:       -1,
-			Op:          profiler.WeightUpdate,
-			Params:      max(shardParams, 1),
-			StageParams: stageParams,
-			label:       lbWeightUpdate,
-		})
+		wu := b.add(lbWeightUpdate, stage, 0, -1, 0)
 		b.edge(lastSlotEnd[stage], wu)
-		for _, ar := range syncs {
+		for ar := first; ar < wu; ar++ {
 			b.edge(ar, wu)
 		}
 	}

@@ -1,11 +1,19 @@
 package opgraph
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
 
-// labelKind selects the format of a node's lazily-composed label. Nodes
-// store only this one byte plus their coordinate fields; the human-readable
-// string is produced on demand by Node.Label, so graphs built for plain
-// simulation (no trace capture) never pay any string formatting.
+	"vtrain/internal/profiler"
+)
+
+// labelKind is a node's role in the schedule ("AR-TP after the forward
+// MHA", "backward receive", ...). The role fixes the node's kind, its
+// computation operator, and the format of its lazily-composed label, so a
+// graph stores only this one byte plus the label coordinates per node; the
+// human-readable string is produced on demand by Node.Label, so graphs
+// built for plain simulation (no trace capture) never pay any string
+// formatting.
 type labelKind uint8
 
 const (
@@ -42,30 +50,34 @@ const (
 	formBucket                  // "<prefix>bucket<b> L[<lo>,<hi>) s<stage>"
 )
 
+// labelSpecs maps each role to its label format and to the kind and
+// operator of its nodes (communication roles leave op at its zero value).
 var labelSpecs = [...]struct {
 	prefix string
 	form   labelForm
+	kind   NodeKind
+	op     profiler.OpKind
 }{
-	lbFwdEmbedding:  {"Fwd Embedding ", formMB},
-	lbRecvFwd:       {"Recv Fwd ", formCMB},
-	lbFwdMHA:        {"Fwd MHA ", formLMB},
-	lbARTPFwdMHA:    {"AR-TP Fwd MHA ", formLMB},
-	lbFwdFFN:        {"Fwd FFN ", formLMB},
-	lbARTPFwdFFN:    {"AR-TP Fwd FFN ", formLMB},
-	lbFwdLMHead:     {"Fwd LMHead ", formMB},
-	lbBwdLMHead:     {"Bwd LMHead ", formMB},
-	lbRecvBwd:       {"Recv Bwd ", formCMB},
-	lbRecompMHA:     {"Recompute Fwd MHA ", formLMB},
-	lbARTPRecompMHA: {"AR-TP Recompute MHA ", formLMB},
-	lbRecompFFN:     {"Recompute Fwd FFN ", formLMB},
-	lbARTPRecompFFN: {"AR-TP Recompute FFN ", formLMB},
-	lbBwdFFN:        {"Bwd FFN ", formLMB},
-	lbARTPBwdFFN:    {"AR-TP Bwd FFN ", formLMB},
-	lbBwdMHA:        {"Bwd MHA ", formLMB},
-	lbARTPBwdMHA:    {"AR-TP Bwd MHA ", formLMB},
-	lbBwdEmbedding:  {"Bwd Embedding ", formMB},
-	lbARDP:          {"AR-DP ", formBucket},
-	lbWeightUpdate:  {"WeightUpdate ", formS},
+	lbFwdEmbedding:  {"Fwd Embedding ", formMB, Compute, profiler.FwdEmbedding},
+	lbRecvFwd:       {"Recv Fwd ", formCMB, P2P, 0},
+	lbFwdMHA:        {"Fwd MHA ", formLMB, Compute, profiler.FwdMHA},
+	lbARTPFwdMHA:    {"AR-TP Fwd MHA ", formLMB, AllReduceTP, 0},
+	lbFwdFFN:        {"Fwd FFN ", formLMB, Compute, profiler.FwdFFN},
+	lbARTPFwdFFN:    {"AR-TP Fwd FFN ", formLMB, AllReduceTP, 0},
+	lbFwdLMHead:     {"Fwd LMHead ", formMB, Compute, profiler.FwdLMHead},
+	lbBwdLMHead:     {"Bwd LMHead ", formMB, Compute, profiler.BwdLMHead},
+	lbRecvBwd:       {"Recv Bwd ", formCMB, P2P, 0},
+	lbRecompMHA:     {"Recompute Fwd MHA ", formLMB, Compute, profiler.FwdMHA},
+	lbARTPRecompMHA: {"AR-TP Recompute MHA ", formLMB, AllReduceTP, 0},
+	lbRecompFFN:     {"Recompute Fwd FFN ", formLMB, Compute, profiler.FwdFFN},
+	lbARTPRecompFFN: {"AR-TP Recompute FFN ", formLMB, AllReduceTP, 0},
+	lbBwdFFN:        {"Bwd FFN ", formLMB, Compute, profiler.BwdFFN},
+	lbARTPBwdFFN:    {"AR-TP Bwd FFN ", formLMB, AllReduceTP, 0},
+	lbBwdMHA:        {"Bwd MHA ", formLMB, Compute, profiler.BwdMHA},
+	lbARTPBwdMHA:    {"AR-TP Bwd MHA ", formLMB, AllReduceTP, 0},
+	lbBwdEmbedding:  {"Bwd Embedding ", formMB, Compute, profiler.BwdEmbedding},
+	lbARDP:          {"AR-DP ", formBucket, AllReduceDP, 0},
+	lbWeightUpdate:  {"WeightUpdate ", formS, Compute, profiler.WeightUpdate},
 }
 
 // NumLabelKinds bounds the valid label-format selectors: a LabelRec with
@@ -74,11 +86,8 @@ var labelSpecs = [...]struct {
 const NumLabelKinds = len(labelSpecs)
 
 // LabelRec is the complete coordinate set a label renders: the one-byte
-// format selector plus the node fields the formats reference. It exists so
-// labels can outlive the graph (see Graph.LabelRecs) at a few bytes per
-// node instead of retaining the whole arena, and — unlike a closure — it
-// can be serialized, which is what lets lowered task graphs round-trip
-// through the on-disk artifact store with their labels intact.
+// format selector plus the node fields the formats reference — one row of
+// a LabelTable.
 type LabelRec struct {
 	Kind                                         uint8
 	Stage, Micro, Chunk, Layer, LayerEnd, Bucket int32
@@ -142,32 +151,13 @@ func (r LabelRec) Compose() string {
 // simulation hot path never does.
 func (n *Node) Label() string { return n.rec().Compose() }
 
-// LabelRecs copies the per-node label coordinates out of the graph: a
-// LabelRec per node, composable into the exact string Node.Label returns,
-// without retaining the graph's arena or CSR storage.
-func (g *Graph) LabelRecs() []LabelRec {
-	recs := make([]LabelRec, g.NumNodes())
-	for i := range recs {
-		recs[i] = g.arena.at(i).rec()
-	}
-	return recs
-}
-
-// LabelSnapshot returns a label resolver equivalent to Graph.Label that
-// does not retain the graph: it wraps LabelRecs in a closure for callers
-// that want a function rather than the records themselves.
-func (g *Graph) LabelSnapshot() func(id int) string {
-	recs := g.LabelRecs()
-	return func(id int) string { return recs[id].Compose() }
-}
-
-// LabelTable is the columnar form of LabelRecs: one flat column per
-// coordinate instead of a slice of structs. Lowered task graphs carry
-// their labels in this form because it is exactly the artifact store's
-// on-disk layout — a disk-loaded graph aliases the columns straight out
-// of the read buffer, with no per-record assembly loop — and the columns
-// compress a record's padding away in memory too. Columns are read-only
-// once built; At materializes a record on demand (trace rendering only).
+// LabelTable holds label records in columnar form: one flat column per
+// coordinate instead of a slice of structs. It is the graph's own node
+// storage (see Graph), the form lowered task graphs render trace labels
+// from, and exactly the artifact store's on-disk layout — a disk-loaded
+// graph aliases the columns straight out of the read buffer, with no
+// per-record assembly loop. Columns are read-only once built; At
+// materializes a record on demand (trace rendering only).
 type LabelTable struct {
 	Kinds                                        []uint8
 	Stage, Micro, Chunk, Layer, LayerEnd, Bucket []int32
@@ -186,19 +176,12 @@ func (t *LabelTable) At(i int) LabelRec {
 }
 
 // LabelTable copies the per-node label coordinates out of the graph in
-// columnar form, without retaining the graph's arena or CSR storage.
+// columnar form, without retaining the graph's storage.
 func (g *Graph) LabelTable() *LabelTable {
-	n := g.NumNodes()
-	t := &LabelTable{
-		Kinds: make([]uint8, n),
-		Stage: make([]int32, n), Micro: make([]int32, n), Chunk: make([]int32, n),
-		Layer: make([]int32, n), LayerEnd: make([]int32, n), Bucket: make([]int32, n),
+	c := &g.cols
+	return &LabelTable{
+		Kinds: slices.Clone(c.Kinds),
+		Stage: slices.Clone(c.Stage), Micro: slices.Clone(c.Micro), Chunk: slices.Clone(c.Chunk),
+		Layer: slices.Clone(c.Layer), LayerEnd: slices.Clone(c.LayerEnd), Bucket: slices.Clone(c.Bucket),
 	}
-	for i := 0; i < n; i++ {
-		nd := g.arena.at(i)
-		t.Kinds[i] = uint8(nd.label)
-		t.Stage[i], t.Micro[i], t.Chunk[i] = nd.Stage, nd.Micro, nd.Chunk
-		t.Layer[i], t.LayerEnd[i], t.Bucket[i] = nd.Layer, nd.LayerEnd, nd.Bucket
-	}
-	return t
 }

@@ -64,7 +64,7 @@ func TestLazyLabelsMatchEagerGolden(t *testing.T) {
 
 // TestBuildPerformsNoLabelFormatting guards the lazy-label contract: when no
 // trace is captured, constructing the graph must not format a single label.
-// The per-build allocation budget below (arena slabs, CSR slices, schedule
+// The per-build allocation budget below (node columns, CSR slices, schedule
 // scaffolding) is far smaller than one allocation per node, so any
 // reintroduction of eager per-node label strings trips it immediately.
 func TestBuildPerformsNoLabelFormatting(t *testing.T) {

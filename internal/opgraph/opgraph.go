@@ -30,14 +30,20 @@
 //
 // The graph is built for the same sweep-heavy workload the replay engine in
 // internal/taskgraph serves: thousands of (t, d, p) plans constructed and
-// lowered back to back. Nodes are therefore plain values in a slab-grown
-// arena (no per-node heap allocation), dependency edges live in CSR-style
-// index slices finalized by a two-pass builder, and node labels are lazy —
-// a node carries only its (kind, op, stage, chunk, micro, layer)
-// coordinates, and Node.Label composes the human-readable string on demand
-// for trace rendering and tests. A built Graph is immutable: nothing in
-// this package mutates it after Build returns, so it is safe to share
-// across goroutines.
+// lowered back to back. Nodes are therefore stored as columns, not as
+// structs: per node, one byte selecting its role in the schedule (which
+// fixes its kind, its operator, and its label format) plus the label
+// coordinates (stage, micro, chunk, layer, layer end, bucket) — exactly the
+// columns of a LabelTable. Everything else a Node reports (transfer bytes,
+// group size, placement, parameter counts, the P2P producer stage) is a
+// function of those columns and the plan and cluster the graph was built
+// for, so Graph.Node composes it on demand. Every dependency edge the
+// builder emits targets the node it just added, so the dependency CSR is
+// appended in place with no edge list and no sort. Labels are lazy too:
+// Graph.Label composes the human-readable string on demand for trace
+// rendering and tests. A built Graph is immutable: nothing in this package
+// mutates it after Build returns, so it is safe to share across
+// goroutines.
 package opgraph
 
 import (
@@ -80,10 +86,9 @@ func (k NodeKind) String() string {
 	}
 }
 
-// Node is one layer-node of the operator-granularity graph. Nodes are plain
-// values stored in the graph's slab arena; they carry no label string (see
-// Node.Label) and no adjacency (see Graph.Deps). A Node is immutable once
-// Build returns.
+// Node is one layer-node of the operator-granularity graph, composed on
+// demand by Graph.Node from the graph's columns. It carries no label string
+// (see Node.Label) and no adjacency (see Graph.Deps).
 type Node struct {
 	// ID is the node's dense index in the graph: 0 <= ID < NumNodes().
 	ID int32
@@ -112,7 +117,8 @@ type Node struct {
 	// pair is shape-invariant, so duration binding can re-derive node
 	// placement for any plan sharing the structure.
 	FromStage int32
-	// label selects the lazy label format (see label.go).
+	// label is the node's role, which selects its lazy label format (see
+	// label.go).
 	label labelKind
 	// Op is the computation operator kind (Kind == Compute). The full
 	// profiler.Operator is graph-wide state plus this kind and Params;
@@ -140,32 +146,111 @@ type Node struct {
 	IntraNode bool
 }
 
-// Graph is the operator-granularity execution graph of one iteration: a
-// value-typed node arena plus CSR-style dependency slices. Build returns it
-// fully finalized and it is never mutated afterwards, so one Graph may be
-// shared and lowered from any number of goroutines.
+// Graph is the operator-granularity execution graph of one iteration: per-node
+// columns plus CSR-style dependency slices. Build returns it fully finalized
+// and it is never mutated afterwards, so one Graph may be shared and lowered
+// from any number of goroutines.
 type Graph struct {
-	arena nodeArena
+	// cols holds the per-node columns, indexed by node ID: the role (Kinds,
+	// a labelKind) and the label coordinates.
+	cols LabelTable
 	// CSR dependencies: the dependencies of node i are
 	// deps[depStart[i]:depStart[i+1]], in edge-insertion order.
 	depStart []int32
 	deps     []int32
+	// stageParams and buckets are per pipeline stage: the stage's unsharded
+	// parameter count and its gradient-bucket count (0 when d = 1). The
+	// weight-update and gradient All-Reduce nodes of a stage derive their
+	// parameter and byte counts from them.
+	stageParams []uint64
+	buckets     []int32
 
 	// Stages is the number of logical devices (pipeline depth).
 	Stages int
-	// Plan and Model record what the graph was built from; together with a
-	// node's Op and Params fields they determine the node's operator
-	// (see OperatorOf).
-	Plan  parallel.Plan
-	Model model.Config
+	// Model, Plan, and Cluster record what the graph was built from. With
+	// a node's columns they determine every field Node reports.
+	Model   model.Config
+	Plan    parallel.Plan
+	Cluster hw.Cluster
 }
 
 // NumNodes returns the number of nodes; IDs are dense in [0, NumNodes).
-func (g *Graph) NumNodes() int { return g.arena.n }
+func (g *Graph) NumNodes() int { return len(g.cols.Kinds) }
 
-// Node returns the node with the given ID. The returned pointer aliases the
-// graph's arena and must be treated as read-only.
-func (g *Graph) Node(id int) *Node { return g.arena.at(id) }
+// Kind returns the kind of node id without composing the whole Node.
+func (g *Graph) Kind(id int) NodeKind { return labelSpecs[g.cols.Kinds[id]].kind }
+
+// Op returns the computation operator of node id (Kind == Compute).
+func (g *Graph) Op(id int) profiler.OpKind { return labelSpecs[g.cols.Kinds[id]].op }
+
+// Stage returns the pipeline stage executing node id.
+func (g *Graph) Stage(id int) int32 { return g.cols.Stage[id] }
+
+// Node composes the node with the given ID from the graph's columns. The
+// plan-dependent fields (Bytes, Group, IntraNode, Params) are derived from
+// the plan and cluster the graph was built for.
+func (g *Graph) Node(id int) Node {
+	lk := labelKind(g.cols.Kinds[id])
+	sp := &labelSpecs[lk]
+	n := Node{
+		ID: int32(id), Kind: sp.kind, Op: sp.op, label: lk,
+		Stage: g.cols.Stage[id], Micro: g.cols.Micro[id], Chunk: g.cols.Chunk[id],
+		Layer: g.cols.Layer[id], LayerEnd: g.cols.LayerEnd[id], Bucket: g.cols.Bucket[id],
+	}
+	gpn := g.Cluster.Node.GPUsPerNode
+	switch n.Kind {
+	case AllReduceTP:
+		n.Bytes = g.activationBytes()
+		n.Group = int32(g.Plan.Tensor)
+		n.IntraNode = g.Plan.Tensor <= gpn
+	case P2P:
+		// The producer is the neighbouring virtual stage: the previous one
+		// for a forward receive, the next one for a backward receive.
+		vs := int(n.Chunk)*g.Plan.Pipeline + int(n.Stage)
+		if lk == lbRecvFwd {
+			vs--
+		} else {
+			vs++
+		}
+		n.FromStage = int32(vs % g.Plan.Pipeline)
+		n.Bytes = g.activationBytes()
+		n.Group = 2
+		n.IntraNode = g.devicesSameNode(int(n.FromStage), int(n.Stage))
+	case AllReduceDP:
+		n.Buckets = g.buckets[n.Stage]
+		n.StageParams = g.stageParams[n.Stage]
+		bucketParams := n.StageParams / uint64(g.Plan.Tensor) / uint64(n.Buckets)
+		n.Bytes = 2 * float64(bucketParams) // FP16 gradients
+		n.Group = int32(g.Plan.Data)
+		n.IntraNode = g.Plan.Tensor*g.Plan.Data <= gpn
+	case Compute:
+		if n.Op == profiler.WeightUpdate {
+			n.StageParams = g.stageParams[n.Stage]
+			n.Params = g.shardParams(n.Stage)
+		}
+	}
+	return n
+}
+
+// activationBytes is the FP16 activation tensor crossing block and stage
+// boundaries: micro-batch x sequence x hidden.
+func (g *Graph) activationBytes() float64 {
+	return 2 * float64(g.Plan.MicroBatch) * float64(g.Model.SeqLen) * float64(g.Model.Hidden)
+}
+
+// devicesSameNode reports whether two pipeline devices share a server node
+// for the representative (tensor 0, data 0) replica.
+func (g *Graph) devicesSameNode(a, b int) bool {
+	stride := g.Plan.Tensor * g.Plan.Data
+	gpn := g.Cluster.Node.GPUsPerNode
+	return (a*stride)/gpn == (b*stride)/gpn
+}
+
+// shardParams is the weight-update parameter shard of a stage: its
+// parameters divided by the tensor width (at least 1).
+func (g *Graph) shardParams(stage int32) uint64 {
+	return max(g.stageParams[stage]/uint64(g.Plan.Tensor), 1)
+}
 
 // Deps returns the IDs of the nodes that must finish before node id starts.
 // The slice aliases the graph's CSR storage and must not be modified. IDs
@@ -176,20 +261,23 @@ func (g *Graph) Deps(id int) []int32 {
 
 // Label composes the human-readable label of node id on demand; see
 // Node.Label for the laziness contract.
-func (g *Graph) Label(id int) string { return g.arena.at(id).Label() }
+func (g *Graph) Label(id int) string { return g.cols.At(id).Compose() }
 
-// OperatorOf composes the full profiler operator of a Compute node from the
-// graph-wide model and plan plus the node's operator kind and parameter
+// OperatorOf composes the full profiler operator of Compute node id from
+// the graph-wide model and plan plus the node's operator kind and parameter
 // count. All nodes of one graph share (model, micro-batch, tensor width),
-// so storing only the kind keeps nodes small.
-func (g *Graph) OperatorOf(n *Node) profiler.Operator {
-	return profiler.Operator{
-		Kind:       n.Op,
+// so the columns store only the node's role.
+func (g *Graph) OperatorOf(id int) profiler.Operator {
+	op := profiler.Operator{
+		Kind:       g.Op(id),
 		Model:      g.Model,
 		MicroBatch: g.Plan.MicroBatch,
 		Tensor:     g.Plan.Tensor,
-		Params:     n.Params,
 	}
+	if op.Kind == profiler.WeightUpdate {
+		op.Params = g.shardParams(g.cols.Stage[id])
+	}
+	return op
 }
 
 // Validate checks (m, plan, c) exactly as Build does, without constructing
@@ -216,19 +304,31 @@ func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
 		return nil, err
 	}
 
-	b := newBuilder(m, plan, c, plan.MicroBatches())
+	b := newBuilder(builderPool.Get().(*builder), graphPool.Get().(*Graph), m, plan, c)
 	b.build()
-	b.finalize()
 	return b.release(), nil
 }
 
-// Recycle returns the graph's storage (arena slabs, dependency CSR) to the
+// BuildLabels returns the label table of the graph Build(m, plan, c) would
+// return, without retaining the graph: labels are a pure function of what
+// the graph was built from, so a consumer that keeps only a graph's
+// structure can rebuild them when a trace first needs one.
+func BuildLabels(m model.Config, plan parallel.Plan, c hw.Cluster) (*LabelTable, error) {
+	g, err := Build(m, plan, c)
+	if err != nil {
+		return nil, err
+	}
+	t := g.LabelTable()
+	g.Recycle()
+	return t, nil
+}
+
+// Recycle returns the graph's storage (node columns, dependency CSR) to the
 // construction pool for reuse by a future Build. Only an exclusive owner may
-// call it, and the graph — including every Node pointer and Deps slice
-// obtained from it — is invalid afterwards. A lowering that copies what it
-// needs out of the graph (taskgraph.Lower does, label snapshot included)
-// recycles it to keep sweep allocation flat; a graph that is retained must
-// simply never be recycled.
+// call it, and the graph — including every Deps slice obtained from it — is
+// invalid afterwards. A lowering that copies what it needs out of the graph
+// (taskgraph.Lower does) recycles it to keep sweep allocation flat; a graph
+// that is retained must simply never be recycled.
 func (g *Graph) Recycle() {
 	graphPool.Put(g)
 }

@@ -93,11 +93,11 @@ func pad4(b []byte) []byte {
 // qualify: hand-built graphs carry eager durations and closures the
 // encoding cannot represent.
 func (g *Graph) MarshalArtifact() ([]byte, error) {
-	if !g.Structural() || g.labels == nil {
+	nL := g.LabelCount()
+	if !g.Structural() || nL == 0 {
 		return nil, errors.New("taskgraph: only lowered structural graphs can be marshaled")
 	}
 	n := g.NumTasks()
-	nL := g.labels.Len()
 	size := 4 + 4 + len(g.Model.Name) + 6*8 + 6*8 +
 		len(g.descs)*33 + 4*(4*n+1) + 4 + 4*len(g.children) + 8
 	for _, c := range g.classes {
@@ -140,22 +140,22 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 // MarshalLabels serializes the graph's label table as a standalone
 // payload: the artifact store keeps labels in their own file so warm
 // sweeps — which never render a label — load pure structure, and traces
-// fetch the label bytes on first use (see SetLabelSource). The columns are
-// already the on-disk layout, so encoding is a handful of slab dumps.
+// fetch the label bytes on first use (see SetLabelSource). It reads the
+// table through Labels, so a lowered graph whose labels are not yet
+// resident fetches them first. The columns are already the on-disk layout,
+// so encoding is a handful of slab dumps.
 func (g *Graph) MarshalLabels() ([]byte, error) {
-	if g.labels == nil {
+	t := g.Labels()
+	if t == nil {
 		return nil, errors.New("taskgraph: graph carries no label table")
 	}
-	nL := g.labels.Len()
+	nL := t.Len()
 	buf := make([]byte, 0, 4+8+nL*25+4)
 	buf = binary.LittleEndian.AppendUint32(buf, EncodingVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(nL))
-	buf = append(buf, g.labels.Kinds...)
+	buf = append(buf, t.Kinds...)
 	buf = pad4(buf)
-	for _, c := range [6][]int32{
-		g.labels.Stage, g.labels.Micro, g.labels.Chunk,
-		g.labels.Layer, g.labels.LayerEnd, g.labels.Bucket,
-	} {
+	for _, c := range [6][]int32{t.Stage, t.Micro, t.Chunk, t.Layer, t.LayerEnd, t.Bucket} {
 		buf = appendInt32Slab(buf, c)
 	}
 	return buf, nil

@@ -68,14 +68,23 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fid %v plan %s: unmarshal labels: %v", fid, plan, err)
 			}
-			if !reflect.DeepEqual(lt, g.labels) {
+			if !reflect.DeepEqual(lt, g.Labels()) {
 				t.Fatalf("fid %v plan %s: decoded labels differ from lowered labels", fid, plan)
+			}
+			if !reflect.DeepEqual(lt, og.LabelTable()) {
+				t.Fatalf("fid %v plan %s: decoded labels differ from the source build's", fid, plan)
 			}
 			if got.labels != nil || got.LabelCount() != g.LabelCount() {
 				t.Fatalf("fid %v plan %s: decoded graph label count %d (resident %v), want %d lazy",
 					fid, plan, got.LabelCount(), got.labels != nil, g.LabelCount())
 			}
-			got.labels, got.nLabels = lt, 0
+			// Materialize the decoded graph's labels from the decoded table,
+			// then drop both sources (closures never compare equal; with
+			// the tables resident they are no longer read) so DeepEqual
+			// covers every slab, labels included.
+			got.SetLabelSource(func() *opgraph.LabelTable { return lt })
+			got.Labels()
+			got.labelSrc, g.labelSrc = nil, nil
 			if !reflect.DeepEqual(got, g) {
 				t.Fatalf("fid %v plan %s: decoded graph differs from lowered graph", fid, plan)
 			}

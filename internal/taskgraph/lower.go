@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vtrain/internal/opgraph"
+	"vtrain/internal/profiler"
 )
 
 // lowerOperatorLevel is the operator-granularity lowering fast path. At
@@ -28,8 +29,8 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 	g := &Graph{
 		Devices: og.Stages,
 		Model:   og.Model,
-		labels:  og.LabelTable(),
 	}
+	g.labelsFrom(og)
 	g.classOf = make([]int32, n)
 	g.durIdx = make([]int32, n)
 	g.indeg = make([]int32, n)
@@ -37,9 +38,10 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 	g.childStart = make([]int32, n+1)
 
 	// Per-kind intern caches, -1 = not seen. opClass/opDesc cover the dense
-	// profiler.OpKind range; kindClass covers the communication node kinds.
-	// Parameter-bearing descriptors (WeightUpdate, AllReduceDP, P2P — a
-	// handful per graph) fall back to a map keyed by the full descriptor.
+	// profiler.OpKind range (the operator graph only ever yields its named
+	// kinds); kindClass covers the communication node kinds. Parameter-
+	// bearing descriptors (WeightUpdate, AllReduceDP, P2P — a handful per
+	// graph) fall back to a map keyed by the full descriptor.
 	var opClass, opDesc [16]int32
 	var kindClass [8]int32
 	for i := range opClass {
@@ -75,7 +77,6 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 
 	nEdges := 0
 	for id := 0; id < n; id++ {
-		nd := og.Node(id)
 		deps := og.Deps(id)
 		nEdges += len(deps)
 		g.indeg[id] = int32(len(deps))
@@ -85,64 +86,54 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 
 		// Task id lowers from node id (the isomorphism): Source is the
 		// identity mapping, which the Graph encodes as a nil sources slab.
+		// Per-node reads go straight to the operator graph's columns; only
+		// the few parameter- or producer-bearing nodes (weight updates,
+		// gradient All-Reduces, receives) compose a whole Node.
 		stream := ComputeStream
-		switch nd.Kind {
+		switch kind := og.Kind(id); kind {
 		case opgraph.Compute:
-			op := int(nd.Op)
-			ci := int32(-1)
-			if op >= 0 && op < len(opClass) {
-				ci = opClass[op]
-			}
+			opKind := og.Op(id)
+			ci := opClass[opKind]
 			if ci < 0 {
-				ci = internClass(nd.Op.String())
-				if op >= 0 && op < len(opClass) {
-					opClass[op] = ci
-				}
+				ci = internClass(opKind.String())
+				opClass[opKind] = ci
 			}
-			di := int32(-1)
-			if nd.StageParams == 0 && op >= 0 && op < len(opDesc) {
-				di = opDesc[op]
-			}
-			if di < 0 {
-				di = internDesc(durDesc{kind: descOperator, op: nd.Op, stageParams: nd.StageParams})
-				if nd.StageParams == 0 && op >= 0 && op < len(opDesc) {
-					opDesc[op] = di
+			var di int32
+			if opKind == profiler.WeightUpdate {
+				di = internDesc(durDesc{kind: descOperator, op: opKind, stageParams: og.Node(id).StageParams})
+			} else {
+				if di = opDesc[opKind]; di < 0 {
+					di = internDesc(durDesc{kind: descOperator, op: opKind})
+					opDesc[opKind] = di
 				}
 			}
 			g.classOf[id], g.durIdx[id] = ci, di
-		case opgraph.AllReduceTP:
+		case opgraph.AllReduceTP, opgraph.AllReduceDP, opgraph.P2P:
 			stream = CommStream
-			ci := kindClass[nd.Kind]
+			ci := kindClass[kind]
 			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
+				ci = internClass(kind.String())
+				kindClass[kind] = ci
 			}
-			if tpDesc < 0 {
-				tpDesc = internDesc(durDesc{kind: descAllReduceTP})
+			var di int32
+			switch kind {
+			case opgraph.AllReduceTP:
+				if tpDesc < 0 {
+					tpDesc = internDesc(durDesc{kind: descAllReduceTP})
+				}
+				di = tpDesc
+			case opgraph.AllReduceDP:
+				nd := og.Node(id)
+				di = internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets})
+			case opgraph.P2P:
+				nd := og.Node(id)
+				di = internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage})
 			}
-			g.classOf[id], g.durIdx[id] = ci, tpDesc
-		case opgraph.AllReduceDP:
-			stream = CommStream
-			ci := kindClass[nd.Kind]
-			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
-			}
-			di := internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets})
-			g.classOf[id], g.durIdx[id] = ci, di
-		case opgraph.P2P:
-			stream = CommStream
-			ci := kindClass[nd.Kind]
-			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
-			}
-			di := internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage})
 			g.classOf[id], g.durIdx[id] = ci, di
 		default:
-			panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
+			panic(fmt.Sprintf("taskgraph: unknown node kind %v", kind))
 		}
-		g.slotOf[id] = 2*nd.Stage + int32(stream)
+		g.slotOf[id] = 2*og.Stage(id) + int32(stream)
 	}
 
 	for i := 0; i < n; i++ {

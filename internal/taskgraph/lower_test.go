@@ -2,6 +2,8 @@ package taskgraph
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vtrain/internal/comm"
@@ -16,7 +18,7 @@ import (
 // to the builder-based reference lowering: every slice of the structural
 // graph — tasks, CSR adjacency, class and descriptor tables — must match
 // exactly, across schedules, interleaving, uneven layer splits, and
-// recomputation.
+// recomputation — and both must rebuild the source build's label table.
 func TestOperatorLowerFastPathMatchesBuilder(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -55,9 +57,76 @@ func TestOperatorLowerFastPathMatchesBuilder(t *testing.T) {
 		check("durIdx", fast.durIdx, ref.durIdx)
 		check("slotOf", fast.slotOf, ref.slotOf)
 		check("sources", fast.sources, ref.sources)
-		check("labels", fast.labels, ref.labels)
-		if fast.labels == nil {
+		check("nLabels", fast.nLabels, ref.nLabels)
+		// Labels are rebuilt on demand: compare the materialized tables,
+		// and pin them to the source build's own label table.
+		want := og.LabelTable()
+		if fast.Labels() == nil {
 			t.Fatalf("plan %s: fast path lost the label records", plan)
+		}
+		check("Labels", fast.Labels(), ref.Labels())
+		check("Labels vs source", fast.Labels(), want)
+	}
+}
+
+// TestLazyLabelsSingleFlight: a freshly lowered graph, at either fidelity,
+// carries no label table. Eight goroutines rendering every task label at
+// once must run its label source exactly once — the source rebuilds the
+// operator graph through the construction pools, so -race checks that
+// path too — and every goroutine must see the operator graph's labels,
+// even though that graph was recycled right after lowering.
+func TestLazyLabelsSingleFlight(t *testing.T) {
+	c := hw.PaperCluster(8)
+	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
+	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8,
+		GradientBuckets: 2, Recompute: true}
+	for _, fid := range []Fidelity{OperatorLevel, TaskLevel} {
+		og, err := opgraph.Build(tinyModel(), plan, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := Lower(og, prof, fid)
+		want := make([]string, og.NumNodes())
+		for id := range want {
+			want[id] = og.Label(id)
+		}
+		og.Recycle()
+		if g.labels != nil || g.LabelCount() != len(want) {
+			t.Fatalf("fid %v: lowered graph has resident labels %v, count %d; want none, %d",
+				fid, g.labels != nil, g.LabelCount(), len(want))
+		}
+
+		src := g.labelSrc
+		var runs atomic.Int32
+		g.labelSrc = func() *opgraph.LabelTable {
+			runs.Add(1)
+			return src()
+		}
+		const workers = 8
+		start := make(chan struct{})
+		bad := make(chan string, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for id := 0; id < g.NumTasks(); id++ {
+					if got := g.TaskLabel(id); got != want[g.source(id)] {
+						bad <- got
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(bad)
+		if got, ok := <-bad; ok {
+			t.Fatalf("fid %v: concurrent TaskLabel rendered %q", fid, got)
+		}
+		if n := runs.Load(); n != 1 {
+			t.Fatalf("fid %v: label source ran %d times, want exactly 1", fid, n)
 		}
 	}
 }

@@ -167,16 +167,15 @@ type Graph struct {
 	// resolves descriptors into concrete per-task durations for one plan.
 	descs  []durDesc
 	durIdx []int32
-	// labels holds the per-source-node label coordinates captured from the
-	// operator graph at lowering time, in columnar form; TaskLabel composes
-	// them on demand. Unlike the labelOf closure they are plain data, so a
-	// lowered graph (labels included) can round-trip through the on-disk
-	// artifact store — and because the columns match the on-disk layout,
-	// a loaded graph aliases them out of the read buffer with zero copies.
-	// Disk-loaded graphs start label-less (labels are over half a graph's
-	// bytes and sweeps never render one): labels stays nil, nLabels records
-	// how many records the label artifact holds, and labelSrc — installed
-	// via SetLabelSource — fetches them once, on the first TaskLabel call.
+	// labels holds the per-source-node label coordinates TaskLabel composes
+	// on demand, in the operator graph's columnar form. No graph starts
+	// with them resident: they are over half a lowered graph's bytes and
+	// sweeps never render one. nLabels records how many records the table
+	// holds, and labelSrc fetches it once, on the first Labels call: a
+	// lowered graph rebuilds its operator graph (see labelsFrom), a
+	// disk-loaded one reads the label artifact (see SetLabelSource).
+	// Because the columns match the on-disk layout, a loaded table aliases
+	// them out of the read buffer with zero copies.
 	labels   *opgraph.LabelTable
 	nLabels  int
 	labelSrc func() *opgraph.LabelTable
@@ -235,15 +234,25 @@ func (g *Graph) Children(id int) []int32 {
 // Call before the graph is published to other goroutines.
 func (g *Graph) SetLabelSource(f func() *opgraph.LabelTable) { g.labelSrc = f }
 
-// LabelCount returns the number of label records the graph's label table
-// holds (or, for a disk-loaded graph whose labels are not yet resident,
-// will hold). Source indices are always below this bound.
-func (g *Graph) LabelCount() int {
-	if g.labels != nil {
-		return g.labels.Len()
+// labelsFrom installs a lowered graph's label source. Labels are a pure
+// function of what og was built from, so rather than copying them out of
+// og at lowering time, the first Labels call rebuilds og from its recorded
+// model, plan, and cluster and keeps the rebuilt graph's label table.
+func (g *Graph) labelsFrom(og *opgraph.Graph) {
+	m, plan, c := og.Model, og.Plan, og.Cluster
+	g.nLabels = og.NumNodes()
+	g.labelSrc = func() *opgraph.LabelTable {
+		// og was built from the same inputs, so the rebuild cannot fail;
+		// a nil table would only make TaskLabel render empty labels.
+		t, _ := opgraph.BuildLabels(m, plan, c)
+		return t
 	}
-	return g.nLabels
 }
+
+// LabelCount returns the number of label records the graph's label table
+// holds, or will hold once fetched. Source indices are always below this
+// bound.
+func (g *Graph) LabelCount() int { return g.nLabels }
 
 // Labels returns the graph's label table, fetching it through the lazy
 // source on first use. Nil when the graph carries no labels and no source.
@@ -373,14 +382,6 @@ func (b *Builder) SetLabeler(f func(source int) string) {
 	b.g.labelOf = f
 }
 
-// SetLabels installs the per-source label coordinates lowered graphs
-// resolve TaskLabel through; Lower copies them out of the operator graph.
-// Unlike SetLabeler's closure, the label table is serializable, which is
-// what lets a lowered graph round-trip through the artifact store.
-func (b *Builder) SetLabels(t *opgraph.LabelTable) {
-	b.g.labels = t
-}
-
 // Build finalizes the accumulated tasks and edges into CSR form. The
 // builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
@@ -473,7 +474,9 @@ var (
 // The result depends only on the plan's structural shape (schedule,
 // pipeline depth, micro-batch count, interleaving, layer split, fidelity),
 // so it can be cached and shared across every plan of that shape; Bind
-// resolves the descriptors into per-plan durations.
+// resolves the descriptors into per-plan durations. Labels are not copied:
+// the graph rebuilds them from g's model, plan, and cluster on the first
+// TaskLabel call, so g may be recycled as soon as Lower returns.
 //
 // prof is consulted only for the kernel count of each operator (fixed per
 // operator kind), never for durations.
@@ -493,11 +496,6 @@ func Lower(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
 // reference implementation the operator-level fast path is tested against.
 func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
 	b := NewBuilder(g.Stages)
-	// Lowered tasks resolve labels lazily through a copy of the operator
-	// graph's label coordinates: no label string exists until a trace is
-	// rendered, and the (cacheable, long-lived) task graph does not pin
-	// the operator graph's storage.
-	b.SetLabels(g.LabelTable())
 	b.g.Model = g.Model
 	nNodes := g.NumNodes()
 	// Pre-count tasks and edges so the arena and edge list are allocated
@@ -505,10 +503,9 @@ func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Grap
 	// extra pass costs lookups, not profiling work.
 	nTasks, nEdges := 0, 0
 	for id := 0; id < nNodes; id++ {
-		n := g.Node(id)
 		k := 1
-		if n.Kind == opgraph.Compute && fid == TaskLevel {
-			k = len(prof.Profile(g.OperatorOf(n)))
+		if fid == TaskLevel && g.Kind(id) == opgraph.Compute {
+			k = len(prof.Profile(g.OperatorOf(id)))
 		}
 		nTasks += k
 		nEdges += k - 1 + len(g.Deps(id))
@@ -525,7 +522,7 @@ func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Grap
 			class := n.Op.String()
 			kernels := 1
 			if fid == TaskLevel {
-				kernels = len(prof.Profile(g.OperatorOf(n)))
+				kernels = len(prof.Profile(g.OperatorOf(nid)))
 			}
 			if kernels == 1 {
 				id := b.addTaskDesc(
@@ -575,7 +572,9 @@ func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Grap
 			b.AddEdge(lastTask[d], firstTask[nid])
 		}
 	}
-	return b.Build()
+	tg := b.Build()
+	tg.labelsFrom(g)
+	return tg
 }
 
 // Result summarizes one simulated iteration.
