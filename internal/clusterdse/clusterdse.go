@@ -25,11 +25,8 @@ package clusterdse
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"vtrain/internal/core"
 	"vtrain/internal/cost"
@@ -323,74 +320,54 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 
 	// Pass 3: evaluate shape batches on a bounded worker pool, streaming
 	// each batch's points under the gate. A shape-prefetch pool walks the
-	// batches alongside the workers and warms the shared structural cache
+	// batches ahead of the workers and warms the shared structural cache
 	// through each batch's first entry, so cold lowerings (or persistent-
 	// tier disk loads) overlap the binding and replay of resident shapes;
-	// EnsureStructure shares the cache's single-flight entries, so no shape
-	// is ever lowered twice.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batches) {
-		workers = len(batches)
-	}
+	// EnsureStructure shares the cache's single-flight entries, and
+	// dse.RunBatches keeps the prefetch within the cache's capacity, so no
+	// shape is lowered twice.
 	var gate dse.StreamGate
-	waitWarm := dse.WarmShapes(len(batches), workers, gate.Stopped, func(bi int) {
+	dse.RunBatches(len(batches), sim.StructCacheSize(), &gate, func(bi int) {
 		e := entries[batches[bi][0]]
 		e.sim.EnsureStructure(m, e.plan)
-	})
-	defer waitWarm()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !gate.Stopped() {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(batches) {
-					return
-				}
-				idx := batches[bi]
-				sims := make([]*core.Simulator, len(idx))
-				group := make([]parallel.Plan, len(idx))
-				for j, i := range idx {
-					sims[j], group[j] = entries[i].sim, entries[i].plan
-				}
-				reps, err := core.SimulateBatchAcross(m, sims, group)
-				if err != nil {
-					// Attribute the failure to its (candidate, plan); the
-					// unwrapped Err reads exactly like a sequential
-					// Simulate failure.
-					plan, cand := group[0], entries[idx[0]].cand
-					var pe *core.PlanError
-					if errors.As(err, &pe) {
-						plan, err = pe.Plan, pe.Err
-						for _, i := range idx {
-							if entries[i].plan == plan {
-								cand = entries[i].cand
-								break
-							}
-						}
+	}, func(bi int) {
+		idx := batches[bi]
+		sims := make([]*core.Simulator, len(idx))
+		group := make([]parallel.Plan, len(idx))
+		for j, i := range idx {
+			sims[j], group[j] = entries[i].sim, entries[i].plan
+		}
+		reps, err := core.SimulateBatchAcross(m, sims, group)
+		if err != nil {
+			// Attribute the failure to its (candidate, plan); the
+			// unwrapped Err reads exactly like a sequential Simulate
+			// failure.
+			plan, cand := group[0], entries[idx[0]].cand
+			var pe *core.PlanError
+			if errors.As(err, &pe) {
+				plan, err = pe.Plan, pe.Err
+				for _, i := range idx {
+					if entries[i].plan == plan {
+						cand = entries[i].cand
+						break
 					}
-					gate.Fail(fmt.Errorf("clusterdse: %s under %s: %w", cand, plan, err))
-					return
 				}
-				gate.Publish(func() {
-					for j, i := range idx {
-						e := entries[i]
-						tr := cost.Train(m, e.plan.GlobalBatch, reps[j].IterTime, e.plan.GPUs(), s.TotalTokens, e.cl)
-						pt := Point{Candidate: e.cand, Plan: e.plan, Report: reps[j], Training: tr}
-						if s.Resilience != nil {
-							pt.Resilience = cost.ApplyResilience(tr, e.res)
-						}
-						fn(pt)
-					}
-				})
 			}
-		}()
-	}
-	wg.Wait()
+			gate.Fail(fmt.Errorf("clusterdse: %s under %s: %w", cand, plan, err))
+			return
+		}
+		gate.Publish(func() {
+			for j, i := range idx {
+				e := entries[i]
+				tr := cost.Train(m, e.plan.GlobalBatch, reps[j].IterTime, e.plan.GPUs(), s.TotalTokens, e.cl)
+				pt := Point{Candidate: e.cand, Plan: e.plan, Report: reps[j], Training: tr}
+				if s.Resilience != nil {
+					pt.Resilience = cost.ApplyResilience(tr, e.res)
+				}
+				fn(pt)
+			}
+		})
+	})
 	return gate.FirstErr()
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -582,5 +583,47 @@ func TestContentionOffIsByteIdentical(t *testing.T) {
 	}
 	if slowed == 0 {
 		t.Error("no design point paid any congestion tax — Space.Contention is not wired through ForCluster")
+	}
+}
+
+// TestPrefetchLowersEachShapeOnce is dse's prefetch bound on the joint
+// sweep: with a structural cache much smaller than the sweep's distinct
+// shapes, the shared prefetcher must not evict shapes it warmed before
+// their cross-candidate batch reads them, so each shape lowers exactly
+// once. Run it under -race.
+func TestPrefetchLowersEachShapeOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const cacheSize = 8
+	m := tinyModel()
+	s := testSpace()
+	s.NodeCounts = []int{1, 2, 4}
+	s.Plans = dse.Space{
+		TensorWidths:    []int{1, 2, 4, 8},
+		DataWidths:      []int{1, 2, 4, 8},
+		PipelineDepths:  []int{1, 2, 4},
+		MicroBatches:    []int{1, 2},
+		GlobalBatch:     64,
+		GradientBuckets: 2,
+	}
+	for rep := 0; rep < 10; rep++ {
+		sim, err := NewSimulator(s, core.WithFidelity(taskgraph.OperatorLevel),
+			core.WithCacheSize(0), core.WithStructCacheSize(cacheSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := Explore(sim, m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes := make(map[core.Shape]bool)
+		for _, p := range points {
+			shapes[sim.PlanShape(m, p.Plan)] = true
+		}
+		if len(shapes) <= 2*cacheSize {
+			t.Fatalf("fixture has %d shapes, want well over the cache's %d", len(shapes), cacheSize)
+		}
+		if got := sim.CacheStats().Lowerings; got != uint64(len(shapes)) {
+			t.Fatalf("sweep %d lowered %d times for %d distinct shapes, want each exactly once", rep, got, len(shapes))
+		}
 	}
 }

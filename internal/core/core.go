@@ -435,6 +435,16 @@ func (s *Simulator) structural(m model.Config, plan parallel.Plan) (*taskgraph.G
 	})
 }
 
+// StructCacheSize returns the capacity of the structural-graph cache (see
+// WithStructCacheSize), 0 when it is disabled. ForCluster siblings share
+// the cache, so they agree. Sweep drivers bound their shape prefetch by it.
+func (s *Simulator) StructCacheSize() int {
+	if s.structs == nil {
+		return 0
+	}
+	return s.structs.max
+}
+
 // EnsureStructure warms the structural cache for (m, plan) without
 // simulating anything: the shape-prefetch planner in dse/clusterdse calls
 // it from a bounded pool so cold lowerings (or disk loads) overlap the

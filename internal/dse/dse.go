@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"vtrain/internal/core"
 	"vtrain/internal/cost"
@@ -220,41 +219,114 @@ func (g *StreamGate) FirstErr() error {
 	return g.err
 }
 
-// WarmShapes runs warm(0..n-1) across a bounded pool of workers, in
-// ascending order, and returns a wait function the caller must invoke
-// before returning, so no warming goroutine outlives its sweep. It is the
-// shape-prefetch planner shared by this package and clusterdse: each warm
-// call drives one distinct structural shape through
+// RunBatches evaluates a sweep's n shape batches: a pool of replay workers
+// calls run(bi) once per batch, claiming batches in ascending order, while a
+// shape-prefetch pool of the same size calls warm(bi) ahead of them. Each
+// warm call drives one distinct structural shape through
 // core.Simulator.EnsureStructure, so cold lowerings (and persistent-tier
 // disk loads) proceed in parallel with the binding and replay of shapes
-// that are already resident. stopped is polled between items and aborts
-// the remaining work — sweeps pass their StreamGate so a failed sweep does
-// not keep warming shapes nobody will replay.
-func WarmShapes(n, workers int, stopped func() bool, warm func(batch int)) (wait func()) {
-	if workers > n {
-		workers = n
-	}
+// that are already resident; the prefetcher skips batches a worker has
+// already claimed. run reports its own failure through gate; once gate
+// latches one, neither pool takes another batch. RunBatches returns when
+// every goroutine has. It is the worker planner shared by this package and
+// clusterdse.
+//
+// cacheSize is the capacity of the FIFO structural cache the sweep warms (0
+// when it is disabled: nothing is warmed). Every shape the sweep inserts
+// evicts the oldest entry once the cache is full, so a prefetcher running
+// further ahead than the cache holds would evict shapes it warmed before
+// their batch reads them, and a warm call running late would re-insert a
+// shape already evicted; either way the shape is lowered twice. Both pools
+// therefore take batches only within a window above the oldest batch that
+// is unclaimed or still held by a run or warm call. The window is sized so
+// that its inserts, plus those of batches handed out but not yet inserted
+// (at most one per goroutine), fit in the cache.
+//
+// The window must never hold the replay pool below its size: a slow batch
+// at the bottom of a window narrower than the pool would idle the other
+// workers. On hosts so wide that a window of workers batches leaves no room
+// for a prefetch pool in the cache, RunBatches therefore skips prefetch and
+// lets the workers claim freely, as a sweep without a structural cache
+// does; each run then inserts and reads its own shape at once.
+func RunBatches(n, cacheSize int, gate *StreamGate, warm, run func(bi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 0 {
-		return func() {}
+		return
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
+	w := &batchWindow{n: n, lead: n, held: make([]int8, n), gate: gate}
+	w.cond.L = &w.mu
+	warmers := 0
+	if lead := cacheSize - 2*workers + 1; lead >= workers {
+		warmers, w.lead = workers, lead
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers+warmers; i++ {
+		next, call := &w.claimed, run
+		if i >= workers {
+			next, call = &w.warmed, warm
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stopped() {
-				bi := int(next.Add(1)) - 1
-				if bi >= n {
-					return
-				}
-				warm(bi)
+			for bi := w.take(next); bi >= 0; bi = w.take(next) {
+				call(bi)
+				w.release(bi)
 			}
 		}()
 	}
-	return wg.Wait
+	wg.Wait()
+}
+
+// batchWindow hands out RunBatches' batches to its two pools, keeping every
+// handed-out batch below low+lead.
+type batchWindow struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	n    int
+	lead int
+	// claimed and warmed are the next batch the replay and prefetch pools
+	// take.
+	claimed, warmed int
+	// held counts the run and warm calls in progress per batch; low is the
+	// oldest batch that is unclaimed or held.
+	held []int8
+	low  int
+	gate *StreamGate
+}
+
+// take returns the next batch of the pool whose cursor is next, waiting
+// while it lies beyond the window, or -1 once the batches run out or the
+// sweep has stopped.
+func (w *batchWindow) take(next *int) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		if w.gate.Stopped() {
+			return -1
+		}
+		*next = max(*next, w.claimed) // never warm a claimed batch
+		if *next >= w.n {
+			return -1
+		}
+		if bi := *next; bi < w.low+w.lead {
+			*next++
+			w.held[bi]++
+			return bi
+		}
+		w.cond.Wait()
+	}
+}
+
+// release ends a run or warm call on batch bi, advances the window, and
+// wakes waiting takers — also after a failed run, so they observe the stop.
+func (w *batchWindow) release(bi int) {
+	w.mu.Lock()
+	w.held[bi]--
+	for w.low < w.claimed && w.held[w.low] == 0 {
+		w.low++
+	}
+	w.mu.Unlock()
+	w.cond.Broadcast()
 }
 
 // ExploreFunc simulates every plan of the space with a bounded worker pool
@@ -296,62 +368,39 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		}
 		batches[bi] = append(batches[bi], i)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	var gate StreamGate
 	// Shape-prefetch planner: the distinct shapes of the space are known up
-	// front, so a second bounded pool walks them in batch order and warms
-	// the structural cache while the workers below bind and replay whatever
-	// is already resident — cold lowering (or disk loading) overlaps replay
-	// instead of serializing inside whichever worker first misses.
-	// EnsureStructure shares the cache's single-flight entries, so the two
-	// pools never lower one shape twice.
-	waitWarm := WarmShapes(len(batches), workers, gate.Stopped, func(bi int) {
+	// front, so RunBatches warms the structural cache ahead of the workers
+	// binding and replaying whatever is already resident — cold lowering
+	// (or disk loading) overlaps replay instead of serializing inside
+	// whichever worker first misses. EnsureStructure shares the cache's
+	// single-flight entries, so the two pools never lower one shape twice.
+	var gate StreamGate
+	RunBatches(len(batches), sim.StructCacheSize(), &gate, func(bi int) {
 		sim.EnsureStructure(m, plans[batches[bi][0]])
-	})
-	defer waitWarm()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !gate.Stopped() {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(batches) {
-					return
-				}
-				idx := batches[bi]
-				group := make([]parallel.Plan, len(idx))
-				for j, i := range idx {
-					group[j] = plans[i]
-				}
-				reps, err := sim.SimulateBatch(m, group)
-				if err != nil {
-					// SimulateBatch attributes failures to a plan; unwrap
-					// so the sweep error reads exactly like the sequential
-					// path's.
-					plan := group[0]
-					var pe *core.PlanError
-					if errors.As(err, &pe) {
-						plan, err = pe.Plan, pe.Err
-					}
-					gate.Fail(fmt.Errorf("dse: %s: %w", plan, err))
-					return
-				}
-				gate.Publish(func() {
-					for j := range idx {
-						fn(Point{Plan: group[j], Report: reps[j], Feasible: true})
-					}
-				})
+	}, func(bi int) {
+		idx := batches[bi]
+		group := make([]parallel.Plan, len(idx))
+		for j, i := range idx {
+			group[j] = plans[i]
+		}
+		reps, err := sim.SimulateBatch(m, group)
+		if err != nil {
+			// SimulateBatch attributes failures to a plan; unwrap so the
+			// sweep error reads exactly like the sequential path's.
+			plan := group[0]
+			var pe *core.PlanError
+			if errors.As(err, &pe) {
+				plan, err = pe.Plan, pe.Err
 			}
-		}()
-	}
-	wg.Wait()
+			gate.Fail(fmt.Errorf("dse: %s: %w", plan, err))
+			return
+		}
+		gate.Publish(func() {
+			for j := range idx {
+				fn(Point{Plan: group[j], Report: reps[j], Feasible: true})
+			}
+		})
+	})
 	return gate.FirstErr()
 }
 

@@ -1,7 +1,12 @@
 package dse
 
 import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vtrain/internal/core"
 	"vtrain/internal/hw"
@@ -280,6 +285,134 @@ func TestExploreDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Report.IterTime != b[i].Report.IterTime {
 			t.Fatal("non-deterministic exploration results")
+		}
+	}
+}
+
+// TestPrefetchLowersEachShapeOnce pins the shape prefetcher's bound: on a
+// sweep over many more shapes than the FIFO structural cache holds, the
+// prefetcher must not run so far ahead of the replay workers that it
+// evicts a shape it warmed before that shape's batch reads it, so every
+// distinct shape is lowered exactly once. GOMAXPROCS is pinned so the
+// prefetch window (cache capacity less the goroutines' slack) is the same
+// on every machine. Run it under -race.
+func TestPrefetchLowersEachShapeOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const cacheSize = 8
+	m := model.Megatron3_6B()
+	s := Space{
+		TensorWidths:    []int{1, 2, 4, 8},
+		DataWidths:      []int{1, 2, 4, 8},
+		PipelineDepths:  []int{1, 2, 4, 8},
+		MicroBatches:    []int{1, 2, 4},
+		GlobalBatch:     64,
+		GradientBuckets: 2,
+	}
+	for rep := 0; rep < 10; rep++ {
+		sim, err := core.New(hw.PaperCluster(8), core.WithFidelity(taskgraph.OperatorLevel),
+			core.WithCacheSize(0), core.WithStructCacheSize(cacheSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes := make(map[core.Shape]bool)
+		for _, p := range s.Enumerate(m, sim) {
+			shapes[sim.PlanShape(m, p)] = true
+		}
+		if len(shapes) <= 4*cacheSize {
+			t.Fatalf("fixture has %d shapes, want well over the cache's %d", len(shapes), cacheSize)
+		}
+		if _, err := Explore(sim, m, s); err != nil {
+			t.Fatal(err)
+		}
+		if got := sim.CacheStats().Lowerings; got != uint64(len(shapes)) {
+			t.Fatalf("sweep %d lowered %d times for %d distinct shapes, want each exactly once", rep, got, len(shapes))
+		}
+	}
+}
+
+// TestRunBatchesContract pins RunBatches' scheduling contract: every batch
+// runs exactly once and is warmed at most once, nothing is warmed when the
+// cache has no room for a prefetch window (disabled, or smaller than three
+// windows' worth of goroutines), no batch is claimed past the window above
+// the oldest held batch, and a failed run stops both pools without
+// deadlocking the window, down to the narrowest window RunBatches opens.
+// Run it under -race.
+func TestRunBatchesContract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 200
+	for _, cacheSize := range []int{0, 1, 4, 5, 8, 1000} {
+		// The window RunBatches opens for two workers: prefetch runs only
+		// when the window is at least as wide as the replay pool.
+		lead := cacheSize - 3
+		prefetch := lead >= 2
+		var mu sync.Mutex
+		runs, warms := make([]int, n), make([]int, n)
+		var gate StreamGate
+		RunBatches(n, cacheSize, &gate, func(bi int) {
+			mu.Lock()
+			warms[bi]++
+			mu.Unlock()
+		}, func(bi int) {
+			mu.Lock()
+			runs[bi]++
+			mu.Unlock()
+		})
+		for bi := range runs {
+			if runs[bi] != 1 || warms[bi] > 1 || !prefetch && warms[bi] != 0 {
+				t.Fatalf("cache %d: batch %d ran %d times and warmed %d times", cacheSize, bi, runs[bi], warms[bi])
+			}
+		}
+
+		var ran atomic.Int64
+		gate = StreamGate{}
+		RunBatches(n, cacheSize, &gate, func(int) {}, func(bi int) {
+			ran.Add(1)
+			if bi == 10 {
+				gate.Fail(errors.New("boom"))
+			}
+		})
+		// While batch 10 is held, no batch at or past 10+lead is claimed.
+		if prefetch && lead < n && ran.Load() > int64(10+lead) {
+			t.Fatalf("cache %d: %d batches ran with batch 10 failing, want at most %d", cacheSize, ran.Load(), 10+lead)
+		}
+	}
+}
+
+// TestRunBatchesKeepsWorkersBusy pins that the prefetch window never holds
+// the replay pool below its size: at the default cache capacity, however
+// many CPUs the host has, the first GOMAXPROCS batches must all be in
+// flight at once. Each of them blocks until all are running, so a window
+// narrower than the pool fails the test instead of hanging it.
+func TestRunBatchesKeepsWorkersBusy(t *testing.T) {
+	const n, cacheSize = 140, 128
+	for _, procs := range []int{2, 8, 43, 44, 64} {
+		prev := runtime.GOMAXPROCS(procs)
+		var (
+			started  atomic.Int64
+			all      = make(chan struct{})
+			timedOut atomic.Bool
+			expired  = make(chan struct{})
+		)
+		timer := time.AfterFunc(10*time.Second, func() {
+			timedOut.Store(true)
+			close(expired)
+		})
+		var gate StreamGate
+		RunBatches(n, cacheSize, &gate, func(int) {}, func(bi int) {
+			if started.Add(1) == int64(procs) {
+				close(all)
+			}
+			if bi < procs {
+				select {
+				case <-all:
+				case <-expired:
+				}
+			}
+		})
+		timer.Stop()
+		runtime.GOMAXPROCS(prev)
+		if timedOut.Load() {
+			t.Errorf("GOMAXPROCS %d, cache %d: the first %d batches never ran at once", procs, cacheSize, procs)
 		}
 	}
 }

@@ -58,10 +58,14 @@ type batchScratch struct {
 	// dependency counts and FIFO queue, shared by every lane).
 	ref   []int32
 	queue []int32
-	// vals[lane] and idx[lane] are lane's bound table: the replay gathers
-	// vals[lane][idx[lane][id]] in place (see DurationTable).
-	vals [][]descVal
-	idx  [][]int32
+	// m is the lane loop's duration matrix, row-major: m[row*k+lane] is
+	// lane's bound value for one row, and task id reads row ix[id]. Rows are
+	// descriptors in a sweep's stateless batches, else tasks (see
+	// fillMatrix). The width-1 body reads its table directly.
+	m []descVal
+	// mOversized is m's wantShrink counter: m's size swings with the row
+	// kind, independently of the per-task buffers.
+	mOversized int8
 	// ready[id*k+lane] is lane's earliest dependency-permitted start. Not
 	// pre-zeroed: a task's row is written in full by its first incoming
 	// edge (detected via the untouched ref count), and root rows — which
@@ -96,12 +100,6 @@ func (sc *batchScratch) reset(n, devices, classes, k int) {
 		sc.queue = make([]int32, 0, n)
 	}
 	sc.queue = sc.queue[:0]
-	if cap(sc.vals) < k {
-		sc.vals = make([][]descVal, k)
-		sc.idx = make([][]int32, k)
-	}
-	sc.vals = sc.vals[:k]
-	sc.idx = sc.idx[:k]
 	sc.ready = fitRaw(sc.ready, n*k, drop)
 	sc.free = fitZero(sc.free, 2*devices*k, drop)
 	sc.busy = fitZero(sc.busy, 2*devices*k, drop)
@@ -245,9 +243,6 @@ func (g *Graph) replay(tables []*DurationTable, cts []*ContentionTable, results 
 	}
 
 	sc.queue = sc.queue[:0]
-	for l := range sc.vals {
-		sc.vals[l], sc.idx[l] = nil, nil // don't pin released tables
-	}
 	for l := range states {
 		putContState(states[l])
 		states[l] = nil
@@ -312,26 +307,60 @@ func (g *Graph) walkOne(sc *batchScratch, tbl *DurationTable, ct *ContentionTabl
 	return spans
 }
 
+// fillMatrix transposes the lanes' bound values into sc.m, one row of k
+// lanes per entry, and returns the row index of every task. When every
+// lane gathers through the same index, rows are the tables' own entries:
+// in a sweep, whose stateless binds all share the graph's durIdx, that is
+// the few dozen descriptors, so the matrix stays L1-resident. Otherwise
+// (a batch mixing per-task and per-descriptor bindings) rows are tasks,
+// gathered once per lane up front through the identity index.
+func (sc *batchScratch) fillMatrix(tables []*DurationTable) []int32 {
+	k := len(tables)
+	ix, rows := tables[0].idx, len(tables[0].vals)
+	shared := true
+	for _, tbl := range tables[1:] {
+		if &tbl.idx[0] != &ix[0] || len(tbl.idx) != len(ix) || len(tbl.vals) != rows {
+			shared = false
+			break
+		}
+	}
+	if !shared {
+		ix, rows = identityIndex(len(ix)), len(ix)
+	}
+	sc.m = fitRaw(sc.m, rows*k, wantShrink(cap(sc.m), rows*k, &sc.mOversized))
+	for l, tbl := range tables {
+		if shared {
+			for r, v := range tbl.vals {
+				sc.m[r*k+l] = v
+			}
+			continue
+		}
+		for id, j := range tbl.idx {
+			sc.m[id*k+l] = tbl.vals[j]
+		}
+	}
+	return ix
+}
+
 // walkLanes is the lane loop of replay: one shared FIFO walk advancing one
 // clock per table for every popped task.
 func (g *Graph) walkLanes(sc *batchScratch, tables []*DurationTable, cts []*ContentionTable, states []*contState) {
 	k := len(tables)
-	for l, tbl := range tables {
-		sc.vals[l], sc.idx[l] = tbl.vals, tbl.idx
-	}
+	ix := sc.fillMatrix(tables)
+	flopsSum := sc.flopsSum[:k]
 	queue := sc.queue
 	for head := 0; head < len(queue); head++ {
 		id := queue[head] // fetch in FIFO order
 		slot := int(g.slotOf[id])
 		// Row subslices fix the bounds once, so the lane loops below are
 		// check-free.
+		vals := sc.m[int(ix[id])*k : int(ix[id])*k+k]
 		ready := sc.ready[int(id)*k : int(id)*k+k]
 		free := sc.free[slot*k : slot*k+k]
 		busy := sc.busy[slot*k : slot*k+k]
 		classSec := sc.classSec[int(g.classOf[id])*k : int(g.classOf[id])*k+k]
 		for l := 0; l < k; l++ {
-			dv := &sc.vals[l][sc.idx[l][id]]
-			dur, fl := dv.dur, dv.flops
+			dur, fl := vals[l].dur, vals[l].flops
 			start := ready[l]
 			if f := free[l]; f > start {
 				start = f
@@ -342,7 +371,7 @@ func (g *Graph) walkLanes(sc *batchScratch, tables []*DurationTable, cts []*Cont
 			free[l] = start + dur // proceed lane l's timeline
 			busy[l] += dur
 			classSec[l] += dur
-			sc.flopsSum[l] += fl
+			flopsSum[l] += fl
 		}
 		for _, cid := range g.Children(int(id)) {
 			cready := sc.ready[int(cid)*k : int(cid)*k+k]

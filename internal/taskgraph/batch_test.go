@@ -146,8 +146,70 @@ func TestReplayBatchValidation(t *testing.T) {
 	}
 }
 
+// TestLaneMatrixRows guards the lane loop's duration matrix. A stateless
+// batch — every lane gathering through the graph's durIdx, as in a sweep —
+// must lay the matrix out by descriptor, len(g.descs)*k entries, at widths
+// 4 and 16: a silent fallback to task rows would stay bit-identical but
+// give back the gain the small matrix exists for. A mixed batch, with a
+// per-descriptor comm.Model lane beside per-task stripMarker and
+// driftTimer lanes, must fall back to task rows. Either way every lane
+// must equal its width-1 replay bit for bit.
+func TestLaneMatrixRows(t *testing.T) {
+	plans := []parallel.Plan{
+		{Tensor: 1, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
+		{Tensor: 2, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
+		{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
+		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
+	}
+	c := hw.PaperCluster(8)
+	g, prof := lowerOn(t, tinyModel(), plans[0], c, TaskLevel)
+	cm := comm.NewModel(c)
+	n := g.NumTasks()
+	bind := func(timers []CommTimer) []*DurationTable {
+		tables := make([]*DurationTable, len(timers))
+		for l, timer := range timers {
+			tables[l] = g.Bind(prof, timer, plans[l%len(plans)], c)
+		}
+		return tables
+	}
+	check := func(name string, tables []*DurationTable, wantRows int) {
+		t.Helper()
+		k := len(tables)
+		var sc batchScratch
+		sc.reset(n, g.Devices, len(g.classes), k)
+		ix := sc.fillMatrix(tables)
+		if len(sc.m) != wantRows*k {
+			t.Fatalf("%s: matrix has %d entries, want %d rows x %d lanes", name, len(sc.m), wantRows, k)
+		}
+		got, err := g.ReplayBatchContended(tables, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, tbl := range tables {
+			if v, want := sc.m[int(ix[l%n])*k+l], tbl.vals[tbl.idx[l%n]]; v != want {
+				t.Fatalf("%s: lane %d reads %v for task %d, its table binds %v", name, l, v, l%n, want)
+			}
+			res, err := g.ReplayContended(tbl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, l, got[l], res)
+		}
+	}
+
+	for _, k := range []int{4, 16} {
+		timers := make([]CommTimer, k)
+		for l := range timers {
+			timers[l] = cm
+		}
+		check(fmt.Sprintf("stateless width %d", k), bind(timers), len(g.descs))
+	}
+	check("mixed", bind([]CommTimer{cm, stripMarker{cm}, &driftTimer{cm: cm}, cm}), n)
+}
+
 // freshPools replaces the table and replay-scratch pools with empty ones,
-// so the next Bind and replay start from newly allocated storage.
+// so the next Bind and replay start from newly allocated storage (the lane
+// matrix included: it lives in the replay scratch).
 func freshPools() {
 	tablePool = sync.Pool{New: tablePool.New}
 	batchScratchPool = sync.Pool{New: batchScratchPool.New}
@@ -170,7 +232,8 @@ type poolCase struct {
 // hand-built graphs) over graphs from 3 to 6,000 tasks, at batch widths 1,
 // 4, and 16, so pooled tables and scratch grow, shrink, and land in
 // between. Every result and timeline must match, bit for bit, the replay of
-// the same binding from fresh pools.
+// the same binding from fresh pools, and the lane loop's duration matrix
+// must shed a task-row high-water mark per wantShrink.
 func TestReplayPoolSequences(t *testing.T) {
 	c := hw.PaperCluster(8)
 	cm := comm.NewModel(c)
@@ -260,6 +323,31 @@ func TestReplayPoolSequences(t *testing.T) {
 		}
 		for _, l := range rng.Perm(k) {
 			tables[l].Release()
+		}
+	}
+
+	// The lane matrix sheds under the same policy, on its own counter:
+	// after a width-16 task-row batch on the 6,000-task graph, exactly
+	// shrinkAfter descriptor-row batches (comm.Model lanes on the largest
+	// structural graph) bring it within 4x their request.
+	var sc batchScratch
+	fill := func(pc poolCase) {
+		tables := make([]*DurationTable, 16)
+		for l := range tables {
+			tables[l] = pc.bind()
+		}
+		sc.reset(pc.g.NumTasks(), pc.g.Devices, len(pc.g.classes), len(tables))
+		sc.fillMatrix(tables)
+		for _, tbl := range tables {
+			tbl.Release()
+		}
+	}
+	fill(groups[len(groups)-1][0])
+	for i := 1; i <= shrinkAfter; i++ {
+		fill(groups[2][0])
+		if shed := cap(sc.m) <= 4*len(sc.m); shed != (i == shrinkAfter) {
+			t.Fatalf("descriptor-row batch %d: matrix capacity %d for %d entries (shed %v, want %v)",
+				i, cap(sc.m), len(sc.m), shed, i == shrinkAfter)
 		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 // ms_per_plan metric is the per-plan cost of a replay at that width — the
 // drop from width 1 to 16 is the structural walk (FIFO traversal, CSR
 // decoding, dependency counting) amortizing across lanes while each lane's
-// float work stays constant.
+// float work stays constant. ns_per_task_lane divides the same time by
+// tasks x width: the replay layer's unit cost, comparable across graphs.
 func BenchmarkReplayBatch(b *testing.B) {
 	m := model.Megatron3_6B()
 	c := hw.PaperCluster(8)
@@ -55,6 +56,7 @@ func BenchmarkReplayBatch(b *testing.B) {
 			b.StopTimer()
 			perPlan := b.Elapsed().Seconds() * 1e3 / float64(b.N) / float64(width)
 			b.ReportMetric(perPlan, "ms_per_plan")
+			b.ReportMetric(perPlan*1e6/float64(g.NumTasks()), "ns_per_task_lane")
 		})
 	}
 }
