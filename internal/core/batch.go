@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -199,10 +200,15 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 				for _, t := range tables {
 					t.Release()
 				}
-				// A replay error is structural: it afflicts every lane.
-				// Attribute it to the chunk's first plan, wrapped exactly
-				// as an individual Simulate would wrap it.
+				// A bad bound duration belongs to its lane's plan; any
+				// other replay error is structural and afflicts every
+				// lane, so it goes to the chunk's first plan. Either is
+				// wrapped exactly as an individual Simulate would wrap it.
 				p := plans[chunk[0]]
+				var de *taskgraph.DurationError
+				if errors.As(err, &de) {
+					p = plans[chunk[de.Table]]
+				}
 				return nil, &PlanError{Plan: p, Err: fmt.Errorf("core: simulating %s under %s: %w", m.Name, p, err)}
 			}
 			for j, i := range chunk {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -186,5 +187,54 @@ func TestSimulateBatchAcrossMatchesSequential(t *testing.T) {
 
 	if _, err := SimulateBatchAcross(m, sims[:2], plans); err == nil {
 		t.Fatal("mismatched sims/plans lengths must be rejected")
+	}
+}
+
+// badBytesComm prices every transfer at 1 ms except those of exactly bad
+// bytes, which it prices at a negative duration.
+type badBytesComm struct{ bad float64 }
+
+func (c badBytesComm) AllReduce(bytes float64, n int, intraNode bool) float64 { return c.price(bytes) }
+func (c badBytesComm) SendRecv(bytes float64, sameNode bool) float64          { return c.price(bytes) }
+
+func (c badBytesComm) price(bytes float64) float64 {
+	if bytes == c.bad {
+		return -1e-3
+	}
+	return 1e-3
+}
+
+// TestSimulateBatchBlamesBadLane pins the attribution of a bad bound
+// duration: two plans share one shape and one batched replay, and only the
+// second binds a negative duration (its micro-batch of 1 gives its
+// activation transfers a size the first plan's never have). The
+// *PlanError must name that plan, not the chunk's first, and must carry
+// the replay's *taskgraph.DurationError.
+func TestSimulateBatchBlamesBadLane(t *testing.T) {
+	m := model.Config{Name: "batch-tiny", Hidden: 256, Layers: 4, SeqLen: 128, Heads: 4, Vocab: 1024}
+	// One shape (same micro-batch count), different micro-batch sizes.
+	plans := []parallel.Plan{
+		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 2, GlobalBatch: 32, GradientBuckets: 2},
+		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
+	}
+	s := sim(t, 8, WithFidelity(taskgraph.OperatorLevel),
+		WithCommTimer(badBytesComm{bad: 2 * float64(plans[1].MicroBatch) * float64(m.SeqLen) * float64(m.Hidden)}))
+	if s.PlanShape(m, plans[0]) != s.PlanShape(m, plans[1]) {
+		t.Fatal("fixture plans no longer share a shape")
+	}
+	_, err := s.SimulateBatch(m, plans)
+	var pe *PlanError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PlanError", err)
+	}
+	if pe.Plan != plans[1] {
+		t.Fatalf("error blames plan %s, want the lane that bound the bad duration, %s", pe.Plan, plans[1])
+	}
+	var de *taskgraph.DurationError
+	if !errors.As(err, &de) || de.Table != 1 {
+		t.Fatalf("err = %v, want a *taskgraph.DurationError for table 1", err)
+	}
+	if st := s.CacheStats(); st.BatchReplays != 1 {
+		t.Fatalf("%d batched replays, want the two plans in one", st.BatchReplays)
 	}
 }

@@ -174,20 +174,24 @@ func (g *Graph) replay(tables []*DurationTable, cts []*ContentionTable, results 
 		if tbl.Len() != n {
 			return nil, fmt.Errorf("taskgraph: duration table %d binds %d tasks, graph has %d", i, tbl.Len(), n)
 		}
+		if err := tbl.check(i); err != nil {
+			return nil, err
+		}
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.reset(n, g.Devices, len(g.classes), k)
 
 	// Occupancy ledgers are per lane: each lane is an independent simulated
-	// cluster, so flows contend only within their own lane. states stays nil
-	// for fully ideal batches, keeping the hot loops branch-predictable; the
-	// ledgers themselves come from the contState pool, like every other
-	// piece of replay scratch.
+	// cluster, so flows contend only within their own lane. A lane whose
+	// table has no live class draws none and replays as an ideal lane, and
+	// states stays nil for fully ideal batches, keeping the hot loops
+	// branch-predictable; the ledgers themselves come from the contState
+	// pools, like every other piece of replay scratch.
 	var states []*contState
 	for l, ct := range cts {
-		if ct == nil {
-			continue
+		if ct == nil || ct.flows == 0 {
+			continue // the ideal network, exactly
 		}
 		if states == nil {
 			if cap(sc.states) < k {
@@ -286,13 +290,10 @@ func (g *Graph) walkOne(sc *batchScratch, tbl *DurationTable, ct *ContentionTabl
 		}
 		for _, cid := range g.Children(int(id)) {
 			if sc.ref[cid] == g.indeg[cid] {
-				// First incoming edge: max(0, finish), what folding into
-				// a zeroed row computes.
-				v := 0.0
-				if finish > 0 {
-					v = finish
-				}
-				sc.ready[cid] = v
+				// First incoming edge: finish is max(0, finish), what
+				// folding into a zeroed row computes, since no bound
+				// duration is negative or NaN (see DurationTable.check).
+				sc.ready[cid] = finish
 			} else if finish > sc.ready[cid] {
 				sc.ready[cid] = finish // update the child task
 			}
@@ -376,16 +377,12 @@ func (g *Graph) walkLanes(sc *batchScratch, tables []*DurationTable, cts []*Cont
 		for _, cid := range g.Children(int(id)) {
 			cready := sc.ready[int(cid)*k : int(cid)*k+k]
 			if sc.ref[cid] == g.indeg[cid] {
-				// First incoming edge: initialize the child's row as
-				// max(0, free) — exactly what folding into a zeroed row
-				// computes, without pre-zeroing the whole array.
-				for l := 0; l < k; l++ {
-					v := 0.0
-					if f := free[l]; f > 0 {
-						v = f
-					}
-					cready[l] = v
-				}
+				// First incoming edge: initialize the child's row as a copy
+				// of free, which is max(0, free) — exactly what folding
+				// into a zeroed row computes, without pre-zeroing the whole
+				// array — since no bound duration is negative or NaN (see
+				// DurationTable.check).
+				copy(cready, free)
 			} else {
 				for l := 0; l < k; l++ {
 					if f := free[l]; f > cready[l] {

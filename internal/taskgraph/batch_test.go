@@ -1,7 +1,9 @@
 package taskgraph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -143,6 +145,62 @@ func TestReplayBatchValidation(t *testing.T) {
 	_, wrong := batchFixture(t, []parallel.Plan{other})
 	if _, err := g.ReplayBatchContended([]*DurationTable{wrong[0]}, nil); err == nil || !strings.Contains(err.Error(), "binds") {
 		t.Fatalf("mis-sized table: err = %v", err)
+	}
+}
+
+// TestReplayRejectsBadDurations pins replay's duration precondition: a
+// negative or NaN bound duration would run a slot's clock backward or
+// poison it, and the walk's first-edge row init (a plain copy of the
+// finish row) relies on neither occurring. Replay must return a
+// *DurationError naming the bad table's index in the batch and the first
+// task that reads the value, at widths 1, 4 and 16.
+func TestReplayRejectsBadDurations(t *testing.T) {
+	// build returns a three-task chain across two devices whose middle
+	// (comm) task takes mid seconds.
+	build := func(mid float64) *Graph {
+		b := NewBuilder(2)
+		x := b.AddTask(Task{Device: 0, Duration: 1e-3, Class: "A"})
+		y := b.AddTask(Task{Device: 1, Stream: CommStream, Duration: mid, Class: "B"})
+		z := b.AddTask(Task{Device: 1, Duration: 1e-3, Class: "A"})
+		b.AddEdge(x, y)
+		b.AddEdge(y, z)
+		return b.Build()
+	}
+	g := build(2e-3)
+	good := bindEager(g)
+	if _, err := g.ReplayContended(good, nil); err != nil {
+		t.Fatalf("good table: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), -1e-3, math.Inf(-1)} {
+		badTbl := bindEager(build(bad))
+		check := func(err error, width, lane int) {
+			t.Helper()
+			var de *DurationError
+			if !errors.As(err, &de) {
+				t.Fatalf("duration %v, width %d: err = %v, want a *DurationError", bad, width, err)
+			}
+			if de.Table != lane || de.Task != 1 {
+				t.Fatalf("duration %v, width %d: error names table %d task %d, want table %d task 1", bad, width, de.Table, de.Task, lane)
+			}
+			if want := fmt.Sprintf("duration table %d ", lane); !strings.Contains(err.Error(), want) {
+				t.Fatalf("duration %v, width %d: message %q does not contain %q", bad, width, err, want)
+			}
+		}
+		_, err := g.ReplayContended(badTbl, nil)
+		check(err, 1, 0)
+		_, _, err = g.ReplayTraceContended(badTbl, nil)
+		check(err, 1, 0)
+		for _, k := range []int{4, 16} {
+			for _, lane := range []int{1, k - 1} {
+				tables := make([]*DurationTable, k)
+				for l := range tables {
+					tables[l] = good
+				}
+				tables[lane] = badTbl
+				_, err := g.ReplayBatchContended(tables, nil)
+				check(err, k, lane)
+			}
+		}
 	}
 }
 

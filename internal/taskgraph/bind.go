@@ -1,6 +1,8 @@
 package taskgraph
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"vtrain/internal/hw"
@@ -82,6 +84,38 @@ func (t *DurationTable) Duration(id int) float64 { return t.vals[t.idx[id]].dur 
 
 // Len returns the number of bound tasks.
 func (t *DurationTable) Len() int { return len(t.idx) }
+
+// DurationError reports a bound duration replay cannot run: a negative or
+// NaN value would move a slot's clock backward or poison it. Table is the
+// table's index in the replayed batch (0 for a single replay), so a batch
+// caller can blame the lane's plan.
+type DurationError struct {
+	Table int
+	Task  int
+	Dur   float64
+}
+
+func (e *DurationError) Error() string {
+	return fmt.Sprintf("taskgraph: duration table %d binds task %d a duration of %v s; replay needs durations >= 0",
+		e.Table, e.Task, e.Dur)
+}
+
+// check returns a *DurationError naming table index i if a task's bound
+// duration is negative or NaN. The fast scan reads the table's entries — a
+// few dozen for a descriptor binding — and only a bad entry pays for the
+// per-task search that names the first task reading it.
+func (t *DurationTable) check(i int) error {
+	bad := func(d float64) bool { return !(d >= 0) }
+	if !slices.ContainsFunc(t.vals, func(v descVal) bool { return bad(v.dur) }) {
+		return nil
+	}
+	for id, j := range t.idx {
+		if d := t.vals[j].dur; bad(d) {
+			return &DurationError{Table: i, Task: id, Dur: d}
+		}
+	}
+	return nil
+}
 
 // tablePool recycles DurationTables across Bind/Release cycles, keeping
 // sweep workers allocation-lean: a worker that binds thousands of plans

@@ -42,6 +42,12 @@ import (
 // an empty range counts zero. The count is exact, so the derate arithmetic
 // is bit-identical to a flat scan over every recorded flow; only the cost
 // changes, to two binary searches per contributing run.
+//
+// Seriality also makes most of that work unnecessary. A flow never
+// overlaps its own slot's earlier flows, so on a class only one comm
+// stream records on, every query counts 0 and every record goes unread.
+// Binding therefore drops such classes (see prune) — in a typical sweep
+// every class a TP All-Reduce touches.
 
 // linkSet is the bind-time resolution of one (descriptor, stage) pair: the
 // link classes its comm tasks occupy. nv and hca hold class indices, 0 when
@@ -68,6 +74,22 @@ type ContentionTable struct {
 	// links[di*devices+stage] is the link set of descriptor di's tasks on
 	// stage.
 	links []linkSet
+	// live[pos[di*devices+stage]] is what replay reads for descriptor di's
+	// tasks on stage: that links row without the classes only one stage
+	// records on (see prune). live holds only the rows comm tasks occur
+	// at, in the graph's commRows order; pos is the graph's commPos.
+	live []linkSet
+	pos  []int32
+	// heavy reports whether a tensor-parallel All-Reduce — the bulk of
+	// comm tasks — keeps a live class: the replay's ledger then holds
+	// thousands of flows rather than a few hundred. It keys the ledger
+	// pool.
+	heavy bool
+	// flows bounds the flows a replay can record: per live row, its comm
+	// tasks times its classes. A table with none replays exactly as the
+	// ideal network, so its lane draws no ledger; otherwise it sizes the
+	// ledger's arena (see contState.reset).
+	flows int
 }
 
 // Link-class layout: class 0 is the spine; node k's NVSwitch is 1+2k and
@@ -76,24 +98,36 @@ func nvClass(node int) int  { return 1 + 2*node }
 func hcaClass(node int) int { return 2 + 2*node }
 
 // BindContention resolves the graph's communication descriptors against the
-// cluster's fat-tree topology for one concrete plan. tbl is unused: the
-// ledger needs no tuning from the bound durations, and the parameter stays
-// only so callers keep one signature. BindContention returns nil for
-// hand-built eager graphs (no descriptors): their durations were priced by
-// an arbitrary external process the topology knows nothing about, and a nil
-// table makes every contended entry point equivalent to its ideal twin.
+// cluster's fat-tree topology for one concrete plan, and prunes from what
+// replay reads every link class that comm tasks of only one stage can
+// record on (see prune); a table left with no class replays exactly as the
+// ideal network. tbl is unused: the ledger needs no tuning from the bound
+// durations, and the parameter stays only so callers keep one signature.
+// BindContention returns nil for hand-built eager graphs (no descriptors):
+// their durations were priced by an arbitrary external process the topology
+// knows nothing about, and a nil table makes every contended entry point
+// equivalent to its ideal twin.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
+	return g.bindContention(plan, c, true)
+}
+
+// bindContention is BindContention; with prune false, replay reads the
+// full link table, recording and querying every class.
+func (g *Graph) bindContention(plan parallel.Plan, c hw.Cluster, prune bool) *ContentionTable {
 	if g.descs == nil {
 		return nil
 	}
 	gpn := c.Node.GPUsPerNode
 	stride := plan.Tensor * plan.Data
 	devices := g.Devices
+	rows := len(g.descs) * devices
 	ct := &ContentionTable{
 		cg:      comm.NewCongestion(c),
 		devices: devices,
-		links:   make([]linkSet, len(g.descs)*devices),
 	}
+	commRows, pos := g.commIndex()
+	buf := make([]linkSet, rows+len(commRows))
+	ct.links, ct.live, ct.pos = buf[:rows:rows], buf[rows:], pos
 	maxClass := 0
 	for i := range g.descs {
 		d := &g.descs[i]
@@ -122,7 +156,111 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		}
 	}
 	ct.classes = maxClass + 1
+	if prune {
+		ct.prune(g, commRows)
+	} else {
+		for i, r := range commRows {
+			ct.live[i] = ct.links[r]
+		}
+		ct.heavy = true
+	}
+	for i := range ct.live {
+		_, n := ct.live[i].classList()
+		ct.flows += n * int(g.commTasks[i])
+	}
 	return ct
+}
+
+// prune fills live with links minus every class that comm tasks of only
+// one stage can record on, and sets heavy. Dropping such a class is exact.
+// A stage has one comm stream, and a stream's flows are serial, so a flow
+// never overlaps its own stream's earlier flows: every query on a class
+// only its stream records on counts 0, and what it records there is read
+// by nobody else. Which stages record on a class is read off the graph's
+// structure (rows, its commRows), never off the bound durations, so the
+// verdict holds for every binding of the plan.
+func (ct *ContentionTable) prune(g *Graph, rows []int32) {
+	// rec[c] is 1+stage of the one stage recording on class c so far, 0
+	// before any, and -1 once a second stage does.
+	var small [64]int32
+	rec := small[:]
+	if ct.classes > len(rec) {
+		rec = make([]int32, ct.classes)
+	}
+	for _, r := range rows {
+		stage := 1 + r%int32(ct.devices)
+		cs, n := ct.links[r].classList()
+		for _, c := range cs[:n] {
+			switch rec[c] {
+			case 0:
+				rec[c] = stage
+			case stage, -1:
+			default:
+				rec[c] = -1
+			}
+		}
+	}
+	shared := func(c int32) bool { return rec[c] < 0 }
+	for i, r := range rows {
+		ls := &ct.links[r]
+		var p linkSet
+		if ls.nv != 0 && shared(ls.nv) {
+			p.nv = ls.nv
+		}
+		j := 0
+		for _, c := range ls.hca {
+			if c != 0 && shared(c) {
+				p.hca[j] = c
+				j++
+			}
+		}
+		p.spine = ls.spine && shared(0)
+		if p == (linkSet{}) {
+			continue
+		}
+		ct.live[i] = p
+		if g.descs[int(r)/ct.devices].kind == descAllReduceTP {
+			ct.heavy = true
+		}
+	}
+}
+
+// classList returns the classes ls occupies, in cs[:n].
+func (ls *linkSet) classList() (cs [4]int32, n int) {
+	if ls.nv != 0 {
+		cs[n], n = ls.nv, n+1
+	}
+	for _, c := range ls.hca {
+		if c != 0 {
+			cs[n], n = c, n+1
+		}
+	}
+	if ls.spine {
+		cs[n], n = 0, n+1
+	}
+	return cs, n
+}
+
+// commIndex returns g.commRows and g.commPos, deriving them (and
+// g.commTasks) on first use.
+func (g *Graph) commIndex() (rows, pos []int32) {
+	g.commOnce.Do(func() {
+		count := make([]int32, len(g.descs)*g.Devices)
+		for id, slot := range g.slotOf {
+			if slot&1 == int32(CommStream) {
+				count[int(g.durIdx[id])*g.Devices+int(slot>>1)]++
+			}
+		}
+		for r, n := range count {
+			if n != 0 {
+				count[r] = int32(len(g.commRows))
+				g.commRows = append(g.commRows, int32(r))
+				g.commTasks = append(g.commTasks, n)
+			}
+		}
+		g.commPos = count
+	})
+	return g.commRows, g.commPos
 }
 
 // collectiveSpan is the node span a collective's path is resolved with:
@@ -194,26 +332,48 @@ type contState struct {
 	// oversizedLed and oversizedArena are the wantShrink counters of the
 	// ledger slice and the arena.
 	oversizedLed, oversizedArena int8
+	// heavy records which pool the state came from (see contStatePools).
+	heavy bool
 }
 
-var contStatePool = sync.Pool{New: func() any { return new(contState) }}
+// contStatePools holds the pooled ledgers by expected demand, indexed by
+// ContentionTable.heavy. A heavy replay records thousands of flows and a
+// light one a few hundred; sharing one pool would hand heavy lanes the
+// small arenas of light ones, to be regrown, and shed big arenas after runs
+// of light lanes, only to regrow them for the next heavy one.
+var contStatePools = [2]sync.Pool{
+	{New: func() any { return new(contState) }},
+	{New: func() any { return &contState{heavy: true} }},
+}
+
+// poolIndex maps a demand flag to its contStatePools slot.
+func poolIndex(heavy bool) int {
+	if heavy {
+		return 1
+	}
+	return 0
+}
 
 // getContState returns a pooled occupancy ledger reset for ct. Must be
 // released with putContState when the replay completes.
 func getContState(ct *ContentionTable) *contState {
-	cs := contStatePool.Get().(*contState)
+	cs := contStatePools[poolIndex(ct.heavy)].Get().(*contState)
 	cs.reset(ct)
 	return cs
 }
 
 func putContState(cs *contState) {
 	if cs != nil {
-		contStatePool.Put(cs)
+		contStatePools[poolIndex(cs.heavy)].Put(cs)
 	}
 }
 
 // reset empties the ledger and sizes it for ct's classes. The arena's
-// demand is the previous replay's high-water mark.
+// demand is the previous replay's high-water mark, and it starts at twice
+// ct's flow bound: a run that doubles leaves holes adding up to less than
+// its last segment, so a fresh ledger (the pools empty across GC cycles)
+// or one meeting a heavier table allocates its arena once instead of
+// doubling it up from nothing. A replay that needs more still grows it.
 func (cs *contState) reset(ct *ContentionTable) {
 	if wantShrink(cap(cs.led), ct.classes, &cs.oversizedLed) {
 		cs.led = nil
@@ -226,6 +386,9 @@ func (cs *contState) reset(ct *ContentionTable) {
 	}
 	if wantShrink(cap(cs.arena), int(cs.top), &cs.oversizedArena) {
 		cs.arena = nil
+	}
+	if n := 2 * ct.flows; len(cs.arena) < n {
+		cs.arena = make([]flow, n)
 	}
 	cs.top = 0
 }
@@ -322,13 +485,13 @@ func (cs *contState) grow(r *slotRun) {
 
 // contend derates the base duration of the comm task in slot with
 // descriptor di, given its dependency-and-stream start time, and records
-// the derated flow on its link classes. Tasks whose path occupies no shared
-// link (and zero-duration tasks, e.g. width-1 collectives) pass through
-// unchanged. The returned duration is always >= dur: every weight is
-// non-negative and the overlap counts only grow with concurrency.
+// the derated flow on its live link classes. Tasks whose path occupies no
+// live class (and zero-duration tasks, e.g. width-1 collectives) pass
+// through unchanged. The returned duration is always >= dur: every weight
+// is non-negative and the overlap counts only grow with concurrency.
 func (ct *ContentionTable) contend(st *contState, slot int32, di int32, start, dur float64) float64 {
-	ls := &ct.links[int(di)*ct.devices+int(slot>>1)]
-	if dur <= 0 || (ls.nv|ls.hca[0]) == 0 {
+	ls := &ct.live[ct.pos[int(di)*ct.devices+int(slot>>1)]]
+	if dur <= 0 || (ls.nv|ls.hca[0]) == 0 && !ls.spine {
 		return dur
 	}
 	end := start + dur

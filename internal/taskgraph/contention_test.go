@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"vtrain/internal/comm"
@@ -236,7 +237,7 @@ func TestContentionLedgerOutOfOrderPanics(t *testing.T) {
 
 // TestContStateResetAcrossClassCounts pins pooled-state reuse across
 // clusters of different sizes (cluster sweeps, the warm server pool share
-// one contStatePool). Growing the ledger by append can leave cap > len, so
+// the contStatePools). Growing the ledger by append can leave cap > len, so
 // a later reset with len < classes <= cap must reslice within capacity —
 // the 10 -> 13 -> 15 sequence used to compute a negative make length and
 // panic with "makeslice: len out of range".
@@ -468,5 +469,74 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 			t.Errorf("t=%d d=%d gpn=%d (dp=%v): got (%d, %v), want (%d, %v)",
 				tc.plan.Tensor, tc.plan.Data, tc.gpnVal, tc.dp, n, intra, tc.wantN, tc.wantIntra)
 		}
+	}
+}
+
+// fillLedger records flows serial flows round-robin over slots and classes:
+// a fixed demand, so a ledger that served it once never needs to grow for
+// it again.
+func fillLedger(cs *contState, classes, slots, flows int) {
+	free := make([]float64, slots)
+	for i := 0; i < flows; i++ {
+		slot := i % slots
+		cs.record(i%classes, int32(2*slot+1), free[slot], free[slot]+1)
+		free[slot]++
+	}
+}
+
+// TestContStatePoolMixedDemand is the pooled-ledger property test for a
+// sweep that mixes heavy tables (a TP All-Reduce on a live class:
+// thousands of flows) with light ones across the lanes of successive
+// batches. Keyed by demand, a pooled ledger only ever serves its own kind,
+// so a reused arena never has to be regrown (fresh states, from the pool's
+// New or after the pool dropped one, are not regrowths). Shedding must
+// still work within a kind: a heavy-keyed ledger whose demand turns small
+// sheds its oversized arena and ledger slice after shrinkAfter resets.
+func TestContStatePoolMixedDemand(t *testing.T) {
+	// Start from empty pools, so no earlier test's ledgers are reused.
+	contStatePools = [2]sync.Pool{{New: contStatePools[0].New}, {New: contStatePools[1].New}}
+	heavy := &ContentionTable{classes: 40, heavy: true}
+	light := &ContentionTable{classes: 6}
+	const k = 8
+	regrown, heavyLanes := 0, 0
+	for step := 0; step < 60; step++ {
+		states := make([]*contState, k)
+		for l := range states {
+			ct, flows := light, 40
+			if (step*3+l*5)%7 < 2 {
+				ct, flows = heavy, 6000
+				heavyLanes++
+			}
+			cs := getContState(ct)
+			before := cap(cs.arena)
+			fillLedger(cs, ct.classes, 4, flows)
+			if before > 0 && cap(cs.arena) > before {
+				regrown++
+			}
+			states[l] = cs
+		}
+		for _, cs := range states {
+			putContState(cs)
+		}
+	}
+	t.Logf("%d pooled arenas regrown over %d heavy and %d light lanes", regrown, heavyLanes, 60*k-heavyLanes)
+	if regrown > 2 {
+		t.Fatalf("%d pooled arenas regrown over %d heavy and %d light lanes, want at most 2: heavy and light ledgers share storage",
+			regrown, heavyLanes, 60*k-heavyLanes)
+	}
+
+	cs := getContState(heavy)
+	defer putContState(cs)
+	fillLedger(cs, heavy.classes, 4, 6000)
+	small := &ContentionTable{classes: 3, heavy: true}
+	for i := 0; i <= shrinkAfter; i++ {
+		cs.reset(small)
+		fillLedger(cs, small.classes, 2, 4)
+	}
+	if cap(cs.led) > 4*small.classes {
+		t.Fatalf("ledger slice capacity %d kept after %d small resets (classes %d)", cap(cs.led), shrinkAfter+1, small.classes)
+	}
+	if c := cap(cs.arena); c > 4*int(cs.top) {
+		t.Fatalf("heavy-keyed arena capacity %d flows kept after %d small replays using %d", c, shrinkAfter+1, cs.top)
 	}
 }

@@ -167,6 +167,15 @@ type Graph struct {
 	// resolves descriptors into concrete per-task durations for one plan.
 	descs  []durDesc
 	durIdx []int32
+	// commRows lists the (descriptor, stage) pairs at which comm-stream
+	// tasks occur, as ascending rows di*Devices+stage of a
+	// ContentionTable's link table; commTasks counts the tasks of each, and
+	// commPos maps each such row to its position in commRows (other rows
+	// map to 0 and are never read). All are pure functions of durIdx and
+	// slotOf, derived once (commOnce) by the first BindContention and never
+	// persisted.
+	commRows, commTasks, commPos []int32
+	commOnce                     sync.Once
 	// labels holds the per-source-node label coordinates TaskLabel composes
 	// on demand, in the operator graph's columnar form. No graph starts
 	// with them resident: they are over half a lowered graph's bytes and
